@@ -1,10 +1,6 @@
 """Matrix-free restarted primal-dual solver for discrete optimal transport."""
 
 from .instance import (
-    EXPLICIT,
-    L1,
-    L2,
-    LINF,
     CostMatrix,
     GridImage,
     InstanceError,
@@ -26,27 +22,22 @@ from .operator import (
     operator_norm,
     power_iteration_norm,
 )
-from .kkt import Iterate, KKTReport, duality_gap, kkt_error
+from .kkt import Iterate, duality_gap, kkt_error
 from .rounding import round_to_feasible, rounding_bound_check
 from .pdhg import (
-    ADAPTIVE,
     FIXED_BETA,
+    RestartRecord,
     SolverConfig,
-    SolveTrace,
     StepState,
-    adaptive_stepsize,
     default_stepsize,
     pdhg_step,
     primal_weight_update,
-    restart_candidate,
     should_restart,
     solve,
     stepsize_bound,
 )
-from .sinkhorn import Potentials, SinkhornConfig, sinkhorn_report_gap, sinkhorn_solve
+from .sinkhorn import SinkhornConfig, sinkhorn_solve
 from .theory import (
-    Partition,
-    TheoryBounds,
     check_identification,
     data_precision,
     partition_and_delta,
@@ -54,6 +45,6 @@ from .theory import (
 )
 from .oracle import exact_oracle, optimal_basis_duals, spanning_tree_count
 from .reports import SolveReport
-from .bench import BenchSummary, geomean_gap, run_bench, sgm10
+from .bench import geomean_gap, run_bench, sgm10
 
 __version__ = "0.1.0"

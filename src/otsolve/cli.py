@@ -133,7 +133,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (InstanceError, OSError, ValueError) as exc:
+    except (InstanceError, OSError, ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -76,10 +76,13 @@ class Marginal:
         if np.any(self.weights < 0):
             raise InstanceError("negative marginal entry")
         total = float(self.weights.sum())
+        if not math.isfinite(total):
+            raise InstanceError("marginal mass overflows")
         if total <= 0.0:
             raise InstanceError("marginal has zero mass")
         self.weights = self.weights / total
-        assert abs(float(self.weights.sum()) - 1.0) <= MARGINAL_SUM_TOL
+        if abs(float(self.weights.sum()) - 1.0) > MARGINAL_SUM_TOL:
+            raise InstanceError("marginal does not normalize to unit sum")
 
     def __len__(self) -> int:
         return self.weights.size

@@ -14,13 +14,19 @@ Two operating modes:
 * ``adaptive`` (default): the practical bundle - three-condition adaptive
   restarts, a halving/growth step-size line search, and a primal weight
   update at each restart.
+
+``solve`` records the run as a stream of ``RestartRecord``s: one for the
+starting point and one for each restart. The report's restart fields are
+derived from those records, and an optional ``on_restart`` callback receives
+each record as it is made.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import asdict, dataclass, field
+from collections.abc import Callable
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -33,8 +39,12 @@ from .rounding import round_to_feasible
 FIXED_BETA = "fixed"
 ADAPTIVE = "adaptive"
 
-RELATIVE = "relative"
-ABSOLUTE = "absolute"
+# Adaptive restart thresholds on the candidate's KKT decay: sufficient decay,
+# necessary decay (with a local increase), and the artificial restart's share
+# of all iterations so far.
+BETA_SUFFICIENT = 0.1
+BETA_NECESSARY = 0.9
+BETA_ARTIFICIAL = 0.36
 
 _STEP_GROWTH = 1.05
 _MAX_HALVINGS = 80
@@ -45,34 +55,17 @@ class SolverConfig:
     tol: float = 1e-4
     time_limit_s: float = 3600.0
     restart_mode: str = ADAPTIVE
-    beta: float = 0.5
-    beta_sufficient: float = 0.1
-    beta_necessary: float = 0.9
-    beta_artificial: float = 0.36
-    theta: float = 0.5
-    eps_zero: float = 1e-10
+    beta: float = 0.5  # fixed-mode restart decay factor
     max_iters: int = 1_000_000
     deterministic: bool = False
-    kkt_mode: str = RELATIVE
-    kkt_stride: int = 1
-    eta0: float | None = None  # default 1 / (2 sqrt(m + n))
-    omega0: float = 1.0
 
     def __post_init__(self):
         if self.tol <= 0 or self.time_limit_s <= 0 or self.max_iters < 1:
             raise ValueError("tol, time_limit_s and max_iters must be positive")
         if not 0.0 < self.beta < 1.0:
             raise ValueError("beta must lie in (0, 1)")
-        if not 0.0 < self.beta_sufficient < self.beta_necessary < 1.0:
-            raise ValueError("need 0 < beta_sufficient < beta_necessary < 1")
         if self.restart_mode not in (FIXED_BETA, ADAPTIVE):
             raise ValueError(f"unknown restart mode {self.restart_mode!r}")
-        if self.kkt_mode not in (RELATIVE, ABSOLUTE):
-            raise ValueError(f"unknown kkt mode {self.kkt_mode!r}")
-        if self.kkt_stride < 1:
-            raise ValueError("kkt_stride must be >= 1")
-        if self.omega0 <= 0 or (self.eta0 is not None and self.eta0 <= 0):
-            raise ValueError("step parameters must be positive")
 
 
 @dataclass
@@ -91,31 +84,24 @@ class StepState:
         return self.eta * self.omega
 
 
-@dataclass
-class RestartState:
-    outer_index: int
-    inner_index: int
-    epoch_start: Iterate
-    epoch_start_kkt: float
-    average: Iterate
-    current: Iterate
-    total_iterations: int
-    restart_lengths: list = field(default_factory=list)
+@dataclass(frozen=True)
+class RestartRecord:
+    """The point an epoch starts from: the initial iterate or a restart.
 
+    ``iteration`` counts all iterations before the epoch, ``length`` those of
+    the epoch this restart ended (0 for the start), and ``kkt`` is the point's
+    relative KKT error. ``candidate`` says where the point came from:
+    ``"start"``, ``"current"`` or ``"average"``. ``eta`` and ``omega`` are the
+    step-size scale and primal weight the next epoch begins with.
+    """
 
-@dataclass
-class SolveTrace:
-    """Optional per-run recordings for analysis and tests."""
-
-    record_inner: bool = False
-    etas: list = field(default_factory=list)
-    step_bounds: list = field(default_factory=list)
-    candidate_kkts: list = field(default_factory=list)
-    omegas: list = field(default_factory=list)
-    restart_points: list = field(default_factory=list)
-    restart_kkts: list = field(default_factory=list)
-    inner_iterates: list = field(default_factory=list)
-    inner_averages: list = field(default_factory=list)
+    iteration: int
+    length: int
+    kkt: float
+    candidate: str
+    eta: float
+    omega: float
+    point: Iterate
 
 
 def pdhg_step(prob: OTProblem, it: Iterate, tau: float, sigma: float) -> Iterate:
@@ -149,28 +135,6 @@ def stepsize_bound(it: Iterate, it_next: Iterate, omega: float, eps_zero: float 
     return numer / denom
 
 
-def adaptive_stepsize(
-    it: Iterate,
-    it_next: Iterate,
-    omega: float,
-    eta_current: float,
-    eps_zero: float = 1e-10,
-) -> float:
-    """Line-search step-size update for the displacement (it -> it_next).
-
-    Halves ``eta_current`` until it satisfies the bound, then proposes a mild
-    1.05x growth capped by the bound. With an infinite bound (zero coupling)
-    eta is returned unchanged. The result never exceeds the bound.
-    """
-    bound = stepsize_bound(it, it_next, omega, eps_zero)
-    if math.isinf(bound):
-        return eta_current
-    eta = eta_current
-    while eta > bound:
-        eta *= 0.5
-    return min(_STEP_GROWTH * eta, bound)
-
-
 def primal_weight_update(
     delta_X: float,
     delta_pq: float,
@@ -186,15 +150,6 @@ def primal_weight_update(
     return omega_prev
 
 
-def restart_candidate(
-    current: Iterate, average: Iterate, prob: OTProblem, scale_R: float
-) -> Iterate:
-    """The current iterate if its relative KKT error is strictly smaller, else the average."""
-    kkt_cur = kkt_error(prob, current, scale_R).relative_composite
-    kkt_avg = kkt_error(prob, average, scale_R).relative_composite
-    return current if kkt_cur < kkt_avg else average
-
-
 def should_restart(
     config: SolverConfig,
     candidate_kkt: float,
@@ -208,18 +163,18 @@ def should_restart(
     Fixed mode fires on a plain ``beta`` decay from the epoch start. Adaptive
     mode fires on sufficient decay, on necessary decay combined with a local
     increase over the previous candidate, or on an inner loop exceeding the
-    ``beta_artificial`` fraction of all iterations so far.
+    ``BETA_ARTIFICIAL`` fraction of all iterations so far.
     """
     if config.restart_mode == FIXED_BETA:
         return candidate_kkt <= config.beta * epoch_start_kkt
-    if candidate_kkt <= config.beta_sufficient * epoch_start_kkt:
+    if candidate_kkt <= BETA_SUFFICIENT * epoch_start_kkt:
         return True
     if (
-        candidate_kkt <= config.beta_necessary * epoch_start_kkt
+        candidate_kkt <= BETA_NECESSARY * epoch_start_kkt
         and candidate_kkt > prev_candidate_kkt
     ):
         return True
-    return k >= config.beta_artificial * total_iterations
+    return k >= BETA_ARTIFICIAL * total_iterations
 
 
 def default_stepsize(prob: OTProblem) -> float:
@@ -227,21 +182,14 @@ def default_stepsize(prob: OTProblem) -> float:
     return 1.0 / (2.0 * math.sqrt(prob.m + prob.n))
 
 
-def _accepted_step(
-    prob: OTProblem, it: Iterate, step: StepState, config: SolverConfig, trace: SolveTrace | None
-) -> Iterate:
+def _accepted_step(prob: OTProblem, it: Iterate, step: StepState, adaptive: bool) -> Iterate:
     """Take one step; in adaptive mode retake it with halved eta until accepted."""
-    if config.restart_mode != ADAPTIVE:
-        if trace is not None:
-            trace.etas.append(step.eta)
+    if not adaptive:
         return pdhg_step(prob, it, step.tau, step.sigma)
     for _ in range(_MAX_HALVINGS):
         trial = pdhg_step(prob, it, step.tau, step.sigma)
-        bound = stepsize_bound(it, trial, step.omega, config.eps_zero)
+        bound = stepsize_bound(it, trial, step.omega)
         if step.eta <= bound:
-            if trace is not None:
-                trace.etas.append(step.eta)
-                trace.step_bounds.append(bound)
             # Accepted: propose mild growth for the next iteration. An
             # infinite bound carries no curvature information, so keep eta.
             if math.isfinite(bound):
@@ -255,48 +203,51 @@ def solve(
     prob: OTProblem,
     config: SolverConfig | None = None,
     initial: Iterate | None = None,
-    trace: SolveTrace | None = None,
+    on_restart: Callable[[RestartRecord], None] | None = None,
 ) -> tuple[Iterate, SolveReport]:
     """Run restarted PDHG until the KKT tolerance, iteration, or time limit.
 
     Returns the final (pre-rounding) iterate together with a report whose
     objective and duality gap are evaluated on the rounded feasible plan.
     On a limit, the best evaluated candidate is returned instead of the last.
+
+    The first step uses ``default_stepsize(prob)`` and primal weight 1.
+    ``on_restart``, if given, is called with the ``RestartRecord`` of the
+    starting point and then with that of each restart, as they happen; the
+    record's ``point`` is the solver's own restart iterate, to be read only.
     """
     if config is None:
         config = SolverConfig()
     start_time = time.perf_counter()
-    m, n = prob.m, prob.n
-    it = initial.copy() if initial is not None else Iterate.zeros(m, n)
-    step = StepState(eta=config.eta0 if config.eta0 is not None else default_stepsize(prob),
-                     omega=config.omega0)
+    it = initial.copy() if initial is not None else Iterate.zeros(prob.m, prob.n)
+    step = StepState(eta=default_stepsize(prob), omega=1.0)
     adaptive = config.restart_mode == ADAPTIVE
+    history: list[tuple[int, float]] = []  # (length, kkt) of every record
 
-    def metric(report):
-        return report.relative_composite if config.kkt_mode == RELATIVE else report.composite
+    def emit(record: RestartRecord) -> None:
+        # The report needs only these two fields. Keeping the records would
+        # keep every restart point alive, and memory would grow with restarts.
+        history.append((record.length, record.kkt))
+        if on_restart is not None:
+            on_restart(record)
 
-    scale_R = max(1.0, it.norm())
-    start_report = kkt_error(prob, it, scale_R)
-    state = RestartState(
-        outer_index=0,
-        inner_index=0,
-        epoch_start=it.copy(),
-        epoch_start_kkt=metric(start_report),
-        average=it.copy(),
-        current=it,
-        total_iterations=0,
-    )
-    restart_kkts = [state.epoch_start_kkt]
-    prev_candidate_kkt = state.epoch_start_kkt
+    # Only the running average is modified in place; every step builds a new
+    # iterate, so an epoch's start may share its arrays with ``it``.
+    epoch_start = it
+    epoch_start_kkt = kkt_error(prob, it).relative_composite
+    emit(RestartRecord(0, 0, epoch_start_kkt, "start", step.eta, step.omega, epoch_start))
+    average = it.copy()
+    prev_candidate_kkt = epoch_start_kkt
     best = it.copy()
-    best_kkt = state.epoch_start_kkt
+    best_kkt = epoch_start_kkt
+    total = k = 0  # iterations in all, and since the last restart
 
     termination = None
-    if state.epoch_start_kkt <= config.tol:
+    if epoch_start_kkt <= config.tol:
         termination = "tolerance"
 
     while termination is None:
-        if state.total_iterations >= config.max_iters:
+        if total >= config.max_iters:
             termination = "iteration_limit"
             it = best
             break
@@ -305,39 +256,25 @@ def solve(
             it = best
             break
 
-        it = _accepted_step(prob, it, step, config, trace)
-        state.current = it
-        state.total_iterations += 1
-        state.inner_index += 1
-        k = state.inner_index
+        it = _accepted_step(prob, it, step, adaptive)
+        total += 1
+        k += 1
 
         # Uniform running mean of the inner iterates since the last restart.
-        state.average.X += (it.X - state.average.X) / k
-        state.average.p += (it.p - state.average.p) / k
-        state.average.q += (it.q - state.average.q) / k
+        average.X += (it.X - average.X) / k
+        average.p += (it.p - average.p) / k
+        average.q += (it.q - average.q) / k
 
-        nrm = it.norm()
-        if not math.isfinite(nrm):
+        if not math.isfinite(it.norm()):
             raise RuntimeError("numerical failure: non-finite iterate")
-        scale_R = max(scale_R, nrm)
 
-        if trace is not None and trace.record_inner:
-            trace.inner_iterates.append(it.copy())
-            trace.inner_averages.append(state.average.copy())
-
-        if k % config.kkt_stride != 0:
-            continue
-
-        report_cur = kkt_error(prob, it, scale_R)
-        report_avg = kkt_error(prob, state.average, scale_R)
-        kkt_cur = metric(report_cur)
-        kkt_avg = metric(report_avg)
+        # The current iterate wins only if strictly better; ties go to the average.
+        kkt_cur = kkt_error(prob, it).relative_composite
+        kkt_avg = kkt_error(prob, average).relative_composite
         if kkt_cur < kkt_avg:
-            cand, cand_kkt = it, kkt_cur
+            cand, cand_kkt, source = it, kkt_cur, "current"
         else:
-            cand, cand_kkt = state.average, kkt_avg
-        if trace is not None:
-            trace.candidate_kkts.append(cand_kkt)
+            cand, cand_kkt, source = average, kkt_avg, "average"
 
         if cand_kkt < best_kkt:
             best = cand.copy()
@@ -347,38 +284,25 @@ def solve(
             termination = "tolerance"
             break
 
-        if should_restart(config, cand_kkt, state.epoch_start_kkt, prev_candidate_kkt,
-                          k, state.total_iterations):
+        if should_restart(config, cand_kkt, epoch_start_kkt, prev_candidate_kkt, k, total):
             if adaptive:
-                dX = float(np.linalg.norm(cand.X - state.epoch_start.X))
+                dX = float(np.linalg.norm(cand.X - epoch_start.X))
                 dpq = float(
                     np.sqrt(
-                        np.sum((cand.p - state.epoch_start.p) ** 2)
-                        + np.sum((cand.q - state.epoch_start.q) ** 2)
+                        np.sum((cand.p - epoch_start.p) ** 2)
+                        + np.sum((cand.q - epoch_start.q) ** 2)
                     )
                 )
-                step.omega = primal_weight_update(
-                    dX, dpq, step.omega, config.theta, config.eps_zero
-                )
-            it = cand.copy()
-            state.restart_lengths.append(k)
-            restart_kkts.append(cand_kkt)
-            state.outer_index += 1
-            state.inner_index = 0
-            state.epoch_start = it.copy()
-            state.epoch_start_kkt = cand_kkt
-            state.average = it.copy()
-            state.current = it
-            prev_candidate_kkt = cand_kkt
-            if trace is not None:
-                trace.restart_points.append(it.copy())
-                trace.restart_kkts.append(cand_kkt)
-                trace.omegas.append(step.omega)
-        else:
-            prev_candidate_kkt = cand_kkt
+                step.omega = primal_weight_update(dX, dpq, step.omega)
+            it = epoch_start = cand.copy()
+            epoch_start_kkt = cand_kkt
+            average = it.copy()
+            emit(RestartRecord(total, k, cand_kkt, source, step.eta, step.omega, epoch_start))
+            k = 0
+        prev_candidate_kkt = cand_kkt
 
     elapsed = time.perf_counter() - start_time
-    final_report = kkt_error(prob, it, scale_R)
+    final_kkt = kkt_error(prob, it).relative_composite
     X_feas = round_to_feasible(prob, it.X)
     rounded_objective = float(np.vdot(prob.C, X_feas))
     dual_objective = float(prob.f @ it.p + prob.g @ it.q)
@@ -386,14 +310,14 @@ def solve(
         method="pdot",
         solved=termination == "tolerance",
         wall_time_s=0.0 if config.deterministic else float(elapsed),
-        iterations=state.total_iterations,
-        restarts=state.outer_index,
-        final_relative_kkt=float(final_report.relative_composite),
+        iterations=total,
+        restarts=len(history) - 1,
+        final_relative_kkt=final_kkt,
         rounded_objective=rounded_objective,
         duality_gap=abs(rounded_objective - dual_objective),
         termination_reason=termination,
         config_echo=asdict(config),
-        restart_lengths=list(state.restart_lengths),
-        restart_kkts=[float(v) for v in restart_kkts],
+        restart_lengths=[length for length, _ in history[1:]],
+        restart_kkts=[kkt for _, kkt in history],
     )
     return it, report

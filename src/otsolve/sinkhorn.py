@@ -129,22 +129,3 @@ def sinkhorn_solve(
     )
     return plan, potentials, report
 
-
-def sinkhorn_report_gap(
-    prob: OTProblem,
-    plan: np.ndarray,
-    potentials: Potentials,
-    dual_bound: float | None = None,
-) -> float:
-    """Duality gap of the rounded plan.
-
-    The entropic potentials are not feasible duals of the LP, so when a
-    reference LP dual value is available (from the primal-dual solver on the
-    same instance) the gap is measured against it; otherwise the potentials
-    themselves are used, unclipped.
-    """
-    X_feas = round_to_feasible(prob, plan)
-    objective = float(np.vdot(prob.C, X_feas))
-    if dual_bound is None:
-        dual_bound = float(prob.f @ potentials.phi + prob.g @ potentials.psi)
-    return abs(objective - dual_bound)

@@ -16,7 +16,6 @@ from otsolve import (
     Iterate,
     OTShape,
     SolverConfig,
-    SolveTrace,
     SinkhornConfig,
     apply_A,
     apply_At,
@@ -108,11 +107,12 @@ def identification_runs():
             continue
         if part.B2 or part.delta < 0.01:
             continue
-        trace = SolveTrace()
+        records = []
         cfg = SolverConfig(restart_mode=FIXED_BETA, beta=0.5, tol=1e-9, max_iters=400_000)
-        _, report = solve(prob, cfg, trace=trace)
+        _, report = solve(prob, cfg, on_restart=records.append)
         assert report.solved
-        flags = [check_identification(part, z, tol=1e-9) for z in trace.restart_points]
+        # records[0] is the starting point; the restart points follow it
+        flags = [check_identification(part, r.point, tol=1e-9) for r in records[1:]]
         runs.append((prob, part, report, flags))
     return runs
 
@@ -281,8 +281,8 @@ class TestCriterion09RestartLengthBound:
         worst = 0
         for prob, part, report, flags in identification_runs:
             last_false = max(i for i, fl in enumerate(flags) if not fl)
-            # restart_points[i] starts epoch i+1, whose length is
-            # restart_lengths[i+1]
+            # flags[i] is for records[i+1], which starts epoch i+1, whose
+            # length is restart_lengths[i+1]
             post = report.restart_lengths[last_false + 2 :]
             if post:
                 worst = max(worst, max(post))

@@ -88,6 +88,28 @@ class TestSolve:
         assert "error" in capsys.readouterr().err
 
 
+    def test_overflowing_marginal_errors(self, tmp_path, capsys):
+        path = tmp_path / "big.txt"
+        path.write_text("2 2\ncost explicit\n1 2\n2 1\n1e308 1e308\n0.5 0.5\n")
+        rc = main([
+            "solve", "--instance", str(path), "--method", "pdot",
+            "--out", str(tmp_path / "r.json"),
+        ])
+        assert rc == 1
+        assert "error: marginal mass overflows" in capsys.readouterr().err
+
+    def test_solver_failure_errors(self, tmp_path, capsys):
+        # a penalty this small makes the Sinkhorn potentials non-finite
+        path = tmp_path / "tiny.txt"
+        path.write_text("2 2\ncost explicit\n1 2\n2 1\n0.5 0.5\n0.5 0.5\n")
+        rc = main([
+            "solve", "--instance", str(path), "--method", "sinkhorn",
+            "--penalty", "1e-320", "--out", str(tmp_path / "r.json"),
+        ])
+        assert rc == 1
+        assert "error: numerical failure" in capsys.readouterr().err
+
+
 class TestOracle:
     def test_prints_objective(self, tmp_path, capsys):
         path = tmp_path / "tiny.txt"

@@ -59,6 +59,12 @@ class TestMarginal:
         with pytest.raises(InstanceError, match="zero mass"):
             Marginal([0.0, 0.0])
 
+    def test_overflowing_mass(self):
+        # the total overflows to inf; the check must not be an assert, which
+        # python -O strips (it would then build an all-zero marginal)
+        with pytest.raises(InstanceError, match="mass overflows"):
+            Marginal([1e308, 1e308])
+
     def test_zero_entries_allowed(self):
         m = Marginal([0.0, 1.0, 3.0])
         np.testing.assert_allclose(m.weights, [0.0, 0.25, 0.75])

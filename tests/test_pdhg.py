@@ -1,21 +1,21 @@
 import math
+from dataclasses import fields
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import otsolve.pdhg
 from otsolve import (
     FIXED_BETA,
     Iterate,
     OTShape,
     SolverConfig,
-    SolveTrace,
     StepState,
-    adaptive_stepsize,
     default_stepsize,
     materialize_A,
     pdhg_step,
     primal_weight_update,
-    restart_candidate,
     should_restart,
     solve,
     stepsize_bound,
@@ -36,6 +36,29 @@ def dense_pdhg_run(prob, x, y, eta, iters):
         x = x_new
         states.append((x.copy(), y.copy()))
     return states
+
+
+def record_steps(monkeypatch):
+    """Wrap the solver's step; each call appends (trial iterate, eta).
+
+    eta = sqrt(tau * sigma) is recovered from the step lengths, so it matches
+    the solver's value up to rounding.
+    """
+    calls = []
+    real = otsolve.pdhg.pdhg_step
+
+    def step(prob, it, tau, sigma):
+        out = real(prob, it, tau, sigma)
+        calls.append((out, math.sqrt(tau * sigma)))
+        return out
+
+    monkeypatch.setattr(otsolve.pdhg, "pdhg_step", step)
+    return calls
+
+
+def fixed_bound(monkeypatch, value):
+    """Make the line search see ``value`` as the bound of every trial step."""
+    monkeypatch.setattr(otsolve.pdhg, "stepsize_bound", lambda it, nxt, omega: value)
 
 
 class TestPdhgStep:
@@ -73,29 +96,44 @@ class TestPdhgStep:
 
 
 class TestStepSize:
-    def test_zero_displacement_keeps_eta(self):
-        it = Iterate.zeros(2, 2)
-        assert adaptive_stepsize(it, it.copy(), omega=1.0, eta_current=0.7) == 0.7
+    def test_zero_displacement_keeps_eta(self, monkeypatch):
+        # a zero displacement has zero coupling and so an infinite bound, which
+        # carries no curvature information: forced here for every step, each
+        # is accepted and eta never changes
+        prob = random_problem(np.random.default_rng(3), 3, 4)
+        steps = record_steps(monkeypatch)
+        fixed_bound(monkeypatch, math.inf)
+        _, report = solve(prob, SolverConfig(tol=1e-16, max_iters=20))
+        assert len(steps) == report.iterations == 20
+        for _, eta in steps:
+            assert eta == pytest.approx(default_stepsize(prob), rel=1e-14)
 
     def test_hand_evaluated_bound(self):
         it = Iterate.zeros(2, 2)
         nxt = Iterate(np.array([[1.0, 0.0], [0.0, 0.0]]), np.array([1.0, 0.0]), np.zeros(2))
         assert stepsize_bound(it, nxt, omega=1.0) == pytest.approx(1.0, abs=1e-15)
 
-    def test_halving_until_bound(self):
-        it = Iterate.zeros(2, 2)
-        nxt = Iterate(np.array([[1.0, 0.0], [0.0, 0.0]]), np.array([1.0, 0.0]), np.zeros(2))
-        accepted = adaptive_stepsize(it, nxt, omega=1.0, eta_current=4.0)
-        assert accepted <= 1.0
-        assert accepted == pytest.approx(1.0, abs=1e-15)  # 4 -> 2 -> 1, growth capped
+    def test_halving_until_bound(self, monkeypatch):
+        prob = random_problem(np.random.default_rng(4), 3, 4)
+        eta0 = default_stepsize(prob)
+        steps = record_steps(monkeypatch)
+        fixed_bound(monkeypatch, 0.3 * eta0)
+        _, report = solve(prob, SolverConfig(tol=1e-16, max_iters=1))
+        etas = [eta / eta0 for _, eta in steps]
+        # 1 -> 1/2 -> 1/4: two rejected trials, then the first eta under the bound
+        assert etas == pytest.approx([1.0, 0.5, 0.25], rel=1e-14)
+        assert report.iterations == 1
 
-    def test_growth_capped_by_bound(self):
-        it = Iterate.zeros(2, 2)
-        nxt = Iterate(np.array([[1.0, 0.0], [0.0, 0.0]]), np.array([1.0, 0.0]), np.zeros(2))
-        # far below the bound: mild growth
-        assert adaptive_stepsize(it, nxt, omega=1.0, eta_current=0.1) == pytest.approx(0.105)
-        # just below the bound: capped
-        assert adaptive_stepsize(it, nxt, omega=1.0, eta_current=0.99) == pytest.approx(1.0)
+    def test_growth_capped_by_bound(self, monkeypatch):
+        prob = random_problem(np.random.default_rng(4), 3, 4)
+        eta0 = default_stepsize(prob)
+        steps = record_steps(monkeypatch)
+        fixed_bound(monkeypatch, 0.3 * eta0)
+        solve(prob, SolverConfig(tol=1e-16, max_iters=8))
+        etas = [eta / eta0 for _, eta in steps[2:]]  # the accepted steps
+        # far below the bound: mild 1.05x growth; once it would pass the bound: capped
+        expected = [0.25, 0.2625, 0.275625, 0.28940625, 0.3, 0.3, 0.3, 0.3]
+        assert etas == pytest.approx(expected, rel=1e-14)
 
     def test_step_state_relation(self):
         step = StepState(eta=0.3, omega=4.0)
@@ -116,23 +154,42 @@ class TestPrimalWeight:
         assert primal_weight_update(2.0, 2.0, 1.0, theta=0.5) == pytest.approx(1.0, rel=1e-15)
 
 
+def restart_with_kkts(monkeypatch, kkt_current, kkt_average):
+    """One fixed-mode iteration whose current iterate and running average
+    have the given relative KKT errors; returns the restart record."""
+    steps = record_steps(monkeypatch)
+
+    def kkt(prob, it):
+        if not steps:
+            value = 1.0  # the starting point
+        else:
+            value = kkt_current if it is steps[-1][0] else kkt_average
+        return SimpleNamespace(relative_composite=value)
+
+    monkeypatch.setattr(otsolve.pdhg, "kkt_error", kkt)
+    prob = random_problem(np.random.default_rng(7), 3, 3)
+    records = []
+    cfg = SolverConfig(restart_mode=FIXED_BETA, beta=0.5, tol=1e-16, max_iters=1)
+    solve(prob, cfg, on_restart=records.append)
+    assert len(records) == 2 and records[0].candidate == "start"
+    return records[1], steps[-1][0]
+
+
 class TestRestartCandidate:
-    def test_picks_strictly_better_current(self):
-        prob, opt = two_by_two_optimal()
-        worse = Iterate.zeros(2, 2)
-        out = restart_candidate(opt, worse, prob, scale_R=1.0)
-        assert out is opt
+    def test_picks_strictly_better_current(self, monkeypatch):
+        record, current = restart_with_kkts(monkeypatch, 0.2, 0.3)
+        assert record.candidate == "current"
+        assert record.kkt == 0.2
+        np.testing.assert_array_equal(record.point.X, current.X)
 
-    def test_picks_better_average(self):
-        prob, opt = two_by_two_optimal()
-        worse = Iterate.zeros(2, 2)
-        out = restart_candidate(worse, opt, prob, scale_R=1.0)
-        assert out is opt
+    def test_picks_better_average(self, monkeypatch):
+        record, _ = restart_with_kkts(monkeypatch, 0.3, 0.2)
+        assert record.candidate == "average"
+        assert record.kkt == 0.2
 
-    def test_tie_goes_to_average(self):
-        prob, opt = two_by_two_optimal()
-        out = restart_candidate(opt, opt.copy(), prob, scale_R=1.0)
-        assert out is not opt  # the average copy wins ties
+    def test_tie_goes_to_average(self, monkeypatch):
+        record, _ = restart_with_kkts(monkeypatch, 0.2, 0.2)
+        assert record.candidate == "average"
 
 
 class TestShouldRestart:
@@ -188,28 +245,75 @@ class TestSolve:
         for prev, nxt in zip(kkts, kkts[1:]):
             assert nxt <= 0.5 * prev
 
-    def test_accepted_steps_satisfy_bound(self):
+    def test_accepted_steps_satisfy_bound(self, monkeypatch):
         rng = np.random.default_rng(6)
         prob = random_problem(rng, 3, 5)
-        trace = SolveTrace()
-        _, report = solve(prob, SolverConfig(tol=1e-6), trace=trace)
-        assert report.solved
-        assert len(trace.etas) == report.iterations
-        for eta, bound in zip(trace.etas, trace.step_bounds):
-            assert eta <= bound
+        steps = record_steps(monkeypatch)
+        bounds = {}
+        real_bound = otsolve.pdhg.stepsize_bound
 
-    def test_running_average_recursion(self):
+        def bound(it, nxt, omega):
+            bounds[id(nxt)] = real_bound(it, nxt, omega)
+            return bounds[id(nxt)]
+
+        evaluated = []  # the iterates whose KKT error the loop evaluates
+        real_kkt = otsolve.pdhg.kkt_error
+
+        def kkt(prob, it):
+            evaluated.append(it)  # a reference, so no later object reuses its id
+            return real_kkt(prob, it)
+
+        monkeypatch.setattr(otsolve.pdhg, "stepsize_bound", bound)
+        monkeypatch.setattr(otsolve.pdhg, "kkt_error", kkt)
+        _, report = solve(prob, SolverConfig(tol=1e-6))
+        assert report.solved
+        # a trial becomes the current iterate iff the loop goes on to evaluate it
+        evaluated_ids = {id(it) for it in evaluated}
+        accepted = [(eta, bounds[id(out)]) for out, eta in steps if id(out) in evaluated_ids]
+        assert len(accepted) == report.iterations
+        assert len(steps) > report.iterations  # the line search did reject some trials
+        for eta, b in accepted:
+            assert eta <= b * (1.0 + 1e-14)  # eta recovered from tau, sigma to rounding
+
+    def test_running_average_recursion(self, monkeypatch):
         rng = np.random.default_rng(8)
         prob = random_problem(rng, 3, 3)
-        trace = SolveTrace(record_inner=True)
+        steps = record_steps(monkeypatch)
+        averages = {}  # iteration -> the average evaluated after that step
+        real_kkt = otsolve.pdhg.kkt_error
+
+        def kkt(prob, it):
+            if steps and it is not steps[-1][0]:
+                averages.setdefault(len(steps), it.copy())
+            return real_kkt(prob, it)
+
+        monkeypatch.setattr(otsolve.pdhg, "kkt_error", kkt)
+        records = []
         # beta tiny so no restart fires within the budget
         cfg = SolverConfig(restart_mode=FIXED_BETA, beta=1e-9, tol=1e-16, max_iters=25)
-        solve(prob, cfg, trace=trace)
-        assert len(trace.inner_iterates) == 25
-        mean_X = np.mean([z.X for z in trace.inner_iterates], axis=0)
-        np.testing.assert_allclose(trace.inner_averages[-1].X, mean_X, rtol=0, atol=1e-13)
-        mean_p = np.mean([z.p for z in trace.inner_iterates], axis=0)
-        np.testing.assert_allclose(trace.inner_averages[-1].p, mean_p, rtol=0, atol=1e-13)
+        solve(prob, cfg, on_restart=records.append)
+        assert len(steps) == 25
+        assert len(records) == 1  # the start only
+        for k in (1, 5, 25):
+            inner = [out for out, _ in steps[:k]]
+            for block in ("X", "p", "q"):
+                mean = np.mean([getattr(z, block) for z in inner], axis=0)
+                np.testing.assert_allclose(
+                    getattr(averages[k], block), mean, rtol=0, atol=1e-13
+                )
+
+    def test_restart_records_match_report(self):
+        prob = random_problem(np.random.default_rng(6), 3, 5)
+        records = []
+        _, report = solve(prob, SolverConfig(tol=1e-6), on_restart=records.append)
+        start = records[0]
+        assert (start.iteration, start.length, start.candidate) == (0, 0, "start")
+        assert (start.eta, start.omega) == (default_stepsize(prob), 1.0)
+        assert report.restarts == len(records) - 1 >= 3
+        assert report.restart_lengths == [r.length for r in records[1:]]
+        assert report.restart_kkts == [r.kkt for r in records]
+        assert [r.iteration for r in records[1:]] == np.cumsum(report.restart_lengths).tolist()
+        assert {r.candidate for r in records[1:]} <= {"current", "average"}
 
     def test_iteration_limit(self):
         rng = np.random.default_rng(9)
@@ -266,6 +370,8 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             SolverConfig(restart_mode="sometimes")
 
-    def test_rejects_bad_stride(self):
-        with pytest.raises(ValueError):
-            SolverConfig(kkt_stride=0)
+    def test_only_the_six_settings(self):
+        names = [f.name for f in fields(SolverConfig)]
+        assert names == [
+            "tol", "time_limit_s", "restart_mode", "beta", "max_iters", "deterministic"
+        ]
