@@ -22,13 +22,12 @@ from .operator import (
     operator_norm,
     power_iteration_norm,
 )
-from .kkt import Iterate, duality_gap, kkt_error
+from .kkt import Iterate, kkt_error
 from .rounding import round_to_feasible, rounding_bound_check
 from .pdhg import (
     FIXED_BETA,
     RestartRecord,
     SolverConfig,
-    StepState,
     default_stepsize,
     pdhg_step,
     primal_weight_update,

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import json
+import time
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -83,20 +84,39 @@ class BenchSummary:
     cells: list = field(default_factory=list)
     groups: dict = field(default_factory=dict)
     missing: list = field(default_factory=list)
+    failed: list = field(default_factory=list)
 
 
-def _run_cell(prob: OTProblem, spec: MethodSpec, tol, time_limit_s, deterministic):
+def _method_config(spec: MethodSpec, tol, time_limit_s, deterministic):
+    if spec.name == "pdot":
+        return SolverConfig(tol=tol, time_limit_s=time_limit_s, deterministic=deterministic)
+    return SinkhornConfig(
+        penalty=spec.penalty, tol=tol, time_limit_s=time_limit_s, deterministic=deterministic
+    )
+
+
+def _run_cell(prob: OTProblem, spec: MethodSpec, cfg) -> SolveReport:
     # Each method's gap is measured against its own duals, mirroring how the
     # trade-off between the solvers is usually reported.
     if spec.name == "pdot":
-        cfg = SolverConfig(tol=tol, time_limit_s=time_limit_s, deterministic=deterministic)
-        _, report = solve(prob, cfg)
-        return report
-    cfg = SinkhornConfig(
-        penalty=spec.penalty, tol=tol, time_limit_s=time_limit_s, deterministic=deterministic
+        return solve(prob, cfg)[1]
+    return sinkhorn_solve(prob, cfg)[2]
+
+
+def _failed_report(spec: MethodSpec, cfg, elapsed: float) -> SolveReport:
+    """An unsolved cell whose solver raised: it has no iterate to report on."""
+    return SolveReport(
+        method=spec.name,
+        solved=False,
+        wall_time_s=0.0 if cfg.deterministic else elapsed,
+        iterations=None,
+        restarts=None,
+        final_relative_kkt=None,
+        rounded_objective=None,
+        duality_gap=None,
+        termination_reason="numerical_failure",
+        config_echo=asdict(cfg),
     )
-    _, _, report = sinkhorn_solve(prob, cfg)
-    return report
 
 
 def run_bench(
@@ -109,11 +129,16 @@ def run_bench(
     """Run every (instance, method) cell and aggregate per-method metrics.
 
     Unreadable or malformed instance files are recorded in ``missing`` and
-    skipped. Per the reporting protocol, every cell's objective and gap come
-    from the rounded feasible plan, and unsolved cells enter SGM10 at the
-    time limit.
+    skipped. A solver ``RuntimeError`` is recorded in ``failed`` and its cell
+    kept as unsolved with ``termination_reason="numerical_failure"`` and no
+    objective or gap. Per the reporting protocol, every cell's objective and
+    gap come from the rounded feasible plan, unsolved cells enter SGM10 at the
+    time limit, and the geometric-mean gap is taken over the cells that have
+    a gap (``None`` if none do).
     """
     specs = parse_methods(methods_csv)
+    # Built before any solve, so a bad setting fails before the sweep starts.
+    configs = [_method_config(spec, tol, time_limit_s, deterministic) for spec in specs]
     summary = BenchSummary()
     for path in instance_paths:
         name = str(path)
@@ -122,8 +147,13 @@ def run_bench(
         except (OSError, InstanceError) as exc:
             summary.missing.append(f"{name}: {exc}")
             continue
-        for spec in specs:
-            report = _run_cell(prob, spec, tol, time_limit_s, deterministic)
+        for spec, cfg in zip(specs, configs):
+            start = time.perf_counter()
+            try:
+                report = _run_cell(prob, spec, cfg)
+            except RuntimeError as exc:
+                summary.failed.append(f"{name} {spec.label}: {exc}")
+                report = _failed_report(spec, cfg, time.perf_counter() - start)
             summary.cells.append(
                 BenchCell(instance=name, method=spec.label, penalty=spec.penalty, report=report)
             )
@@ -133,13 +163,13 @@ def run_bench(
             continue
         times = [c.report.wall_time_s for c in rows]
         solved = [c.report.solved for c in rows]
-        gaps = [c.report.duality_gap for c in rows]
+        gaps = [c.report.duality_gap for c in rows if c.report.duality_gap is not None]
         summary.groups[spec.label] = {
             "sgm10_time": sgm10(times, solved, time_limit_s),
-            "geomean_gap": geomean_gap(gaps),
+            "geomean_gap": geomean_gap(gaps) if gaps else None,
             "solved": int(sum(solved)),
             "instances": len(rows),
-            "gap_floored": bool(min(gaps) < GAP_FLOOR),
+            "gap_floored": bool(gaps) and min(gaps) < GAP_FLOOR,
         }
     return summary
 
@@ -157,6 +187,7 @@ def write_summary_json(summary: BenchSummary, path) -> None:
         ],
         "groups": summary.groups,
         "missing": summary.missing,
+        "failed": summary.failed,
     }
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)

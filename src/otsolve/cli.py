@@ -97,6 +97,8 @@ def _cmd_gen(args) -> int:
 
 def _cmd_bench(args) -> int:
     paths = sorted(Path(args.instances).glob("*.txt"))
+    if not paths:
+        raise InstanceError(f"no *.txt instance files in {args.instances}")
     summary = run_bench(
         paths,
         methods_csv=args.methods,
@@ -107,12 +109,16 @@ def _cmd_bench(args) -> int:
     write_summary_csv(summary, args.summary)
     write_summary_json(summary, args.json)
     for label, group in summary.groups.items():
+        gap = group["geomean_gap"]
         print(
             f"{label}: solved {group['solved']}/{group['instances']} "
-            f"sgm10={group['sgm10_time']:.4g}s geomean_gap={group['geomean_gap']:.4g}"
+            f"sgm10={group['sgm10_time']:.4g}s "
+            f"geomean_gap={'none' if gap is None else format(gap, '.4g')}"
         )
     for line in summary.missing:
         print(f"skipped: {line}", file=sys.stderr)
+    for line in summary.failed:
+        print(f"failed: {line}", file=sys.stderr)
     return 0
 
 

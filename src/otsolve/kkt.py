@@ -1,11 +1,9 @@
-"""KKT error of a primal-dual pair: residuals, duality gap, composite scalars.
+"""Relative KKT error of a primal-dual pair.
 
-The composite scalar is the Euclidean norm of the stacked primal residuals,
-element-wise positive part of the dual violation, and the duality gap divided
-by an iterate-norm upper bound ``scale_R``. It vanishes exactly at optimality.
-The relative composite normalizes each of the three blocks by the scale of
-the corresponding problem data and is what restart and termination tests use
-by default.
+The relative KKT error sums three blocks, each normalized by the scale of the
+corresponding problem data: the primal residual, the element-wise positive
+part of the dual violation, and the duality gap. It vanishes exactly at
+optimality and is the one number the restart and termination tests read.
 """
 
 from __future__ import annotations
@@ -33,38 +31,16 @@ class Iterate:
     def copy(self) -> "Iterate":
         return Iterate(self.X.copy(), self.p.copy(), self.q.copy())
 
-    def norm(self) -> float:
-        """Euclidean norm of the stacked (vec X, p, q)."""
-        return float(
-            np.sqrt(
-                np.vdot(self.X, self.X) + np.vdot(self.p, self.p) + np.vdot(self.q, self.q)
-            )
-        )
 
+def kkt_error(prob: OTProblem, it: Iterate) -> float:
+    """Relative KKT error, evaluated matrix-free:
 
-@dataclass(eq=False)
-class KKTReport:
-    primal_row: np.ndarray  # X 1 - f
-    primal_col: np.ndarray  # X^T 1 - g
-    dual_violation: np.ndarray  # [p 1^T + 1 q^T - C]^+
-    gap: float  # signed <C, X> - f^T p - g^T q
-    scale_R: float
-    composite: float
-    relative_composite: float
+        |X 1 - f, X^T 1 - g| / (1 + |f| + |g|)
+      + |[p 1^T + 1 q^T - C]^+|_F / (1 + |C|_F)
+      + |<C,X> - f^T p - g^T q| / (1 + |<C,X>| + |f^T p + g^T q|).
 
-
-def kkt_error(prob: OTProblem, it: Iterate, scale_R: float = 1.0) -> KKTReport:
-    """Evaluate all KKT residual blocks matrix-free.
-
-    ``scale_R`` must be positive; it divides the gap inside the composite
-    norm. The relative composite is
-
-        |primal residual| / (1 + |f| + |g|)
-      + |dual violation|_F / (1 + |C|_F)
-      + |gap| / (1 + |<C,X>| + |f^T p + g^T q|).
+    A NaN or infinite entry in X, p or q makes the result non-finite.
     """
-    if scale_R <= 0:
-        raise ValueError("scale_R must be positive")
     rows, cols = apply_A(it.X)
     primal_row = rows - prob.f
     primal_col = cols - prob.g
@@ -77,25 +53,8 @@ def kkt_error(prob: OTProblem, it: Iterate, scale_R: float = 1.0) -> KKTReport:
 
     primal_sq = float(np.vdot(primal_row, primal_row) + np.vdot(primal_col, primal_col))
     dual_sq = float(np.vdot(violation, violation))
-    composite = float(np.sqrt(primal_sq + dual_sq + (gap / scale_R) ** 2))
-    relative = (
+    return float(
         np.sqrt(primal_sq) / (1.0 + prob.marginal_norm)
         + np.sqrt(dual_sq) / (1.0 + prob.cost_fro_norm)
         + abs(gap) / (1.0 + abs(primal_obj) + abs(dual_obj))
     )
-    return KKTReport(
-        primal_row=primal_row,
-        primal_col=primal_col,
-        dual_violation=violation,
-        gap=gap,
-        scale_R=float(scale_R),
-        composite=composite,
-        relative_composite=float(relative),
-    )
-
-
-def duality_gap(prob: OTProblem, it: Iterate) -> float:
-    """|<C, X> - f^T p - g^T q|, the optimality certificate."""
-    primal_obj = float(np.vdot(prob.C, it.X))
-    dual_obj = float(prob.f @ it.p + prob.g @ it.q)
-    return abs(primal_obj - dual_obj)

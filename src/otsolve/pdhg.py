@@ -60,28 +60,13 @@ class SolverConfig:
     deterministic: bool = False
 
     def __post_init__(self):
-        if self.tol <= 0 or self.time_limit_s <= 0 or self.max_iters < 1:
+        # Written as "not x > 0" so that NaN is rejected too.
+        if not self.tol > 0 or not self.time_limit_s > 0 or self.max_iters < 1:
             raise ValueError("tol, time_limit_s and max_iters must be positive")
         if not 0.0 < self.beta < 1.0:
             raise ValueError("beta must lie in (0, 1)")
         if self.restart_mode not in (FIXED_BETA, ADAPTIVE):
             raise ValueError(f"unknown restart mode {self.restart_mode!r}")
-
-
-@dataclass
-class StepState:
-    """Step-size scale eta and primal weight omega; tau*sigma == eta**2."""
-
-    eta: float
-    omega: float
-
-    @property
-    def tau(self) -> float:
-        return self.eta / self.omega
-
-    @property
-    def sigma(self) -> float:
-        return self.eta * self.omega
 
 
 @dataclass(frozen=True)
@@ -182,20 +167,26 @@ def default_stepsize(prob: OTProblem) -> float:
     return 1.0 / (2.0 * math.sqrt(prob.m + prob.n))
 
 
-def _accepted_step(prob: OTProblem, it: Iterate, step: StepState, adaptive: bool) -> Iterate:
-    """Take one step; in adaptive mode retake it with halved eta until accepted."""
+def _accepted_step(
+    prob: OTProblem, it: Iterate, eta: float, omega: float, adaptive: bool
+) -> tuple[Iterate, float]:
+    """Take one step with tau = eta / omega and sigma = eta * omega.
+
+    In adaptive mode the step is retaken with halved eta until accepted.
+    Returns the step and the eta proposed for the next one.
+    """
     if not adaptive:
-        return pdhg_step(prob, it, step.tau, step.sigma)
+        return pdhg_step(prob, it, eta / omega, eta * omega), eta
     for _ in range(_MAX_HALVINGS):
-        trial = pdhg_step(prob, it, step.tau, step.sigma)
-        bound = stepsize_bound(it, trial, step.omega)
-        if step.eta <= bound:
+        trial = pdhg_step(prob, it, eta / omega, eta * omega)
+        bound = stepsize_bound(it, trial, omega)
+        if eta <= bound:
             # Accepted: propose mild growth for the next iteration. An
             # infinite bound carries no curvature information, so keep eta.
             if math.isfinite(bound):
-                step.eta = min(_STEP_GROWTH * step.eta, bound)
-            return trial
-        step.eta *= 0.5
+                eta = min(_STEP_GROWTH * eta, bound)
+            return trial, eta
+        eta *= 0.5
     raise RuntimeError("step-size line search failed to find an admissible eta")
 
 
@@ -220,7 +211,7 @@ def solve(
         config = SolverConfig()
     start_time = time.perf_counter()
     it = initial.copy() if initial is not None else Iterate.zeros(prob.m, prob.n)
-    step = StepState(eta=default_stepsize(prob), omega=1.0)
+    eta, omega = default_stepsize(prob), 1.0
     adaptive = config.restart_mode == ADAPTIVE
     history: list[tuple[int, float]] = []  # (length, kkt) of every record
 
@@ -234,29 +225,29 @@ def solve(
     # Only the running average is modified in place; every step builds a new
     # iterate, so an epoch's start may share its arrays with ``it``.
     epoch_start = it
-    epoch_start_kkt = kkt_error(prob, it).relative_composite
-    emit(RestartRecord(0, 0, epoch_start_kkt, "start", step.eta, step.omega, epoch_start))
+    epoch_start_kkt = kkt_error(prob, it)
+    emit(RestartRecord(0, 0, epoch_start_kkt, "start", eta, omega, epoch_start))
     average = it.copy()
     prev_candidate_kkt = epoch_start_kkt
     best = it.copy()
     best_kkt = epoch_start_kkt
     total = k = 0  # iterations in all, and since the last restart
 
-    termination = None
+    termination = final_kkt = None
     if epoch_start_kkt <= config.tol:
-        termination = "tolerance"
+        termination, final_kkt = "tolerance", epoch_start_kkt
 
     while termination is None:
         if total >= config.max_iters:
             termination = "iteration_limit"
-            it = best
+            it, final_kkt = best, best_kkt
             break
         if time.perf_counter() - start_time > config.time_limit_s:
             termination = "time_limit"
-            it = best
+            it, final_kkt = best, best_kkt
             break
 
-        it = _accepted_step(prob, it, step, adaptive)
+        it, eta = _accepted_step(prob, it, eta, omega, adaptive)
         total += 1
         k += 1
 
@@ -265,12 +256,13 @@ def solve(
         average.p += (it.p - average.p) / k
         average.q += (it.q - average.q) / k
 
-        if not math.isfinite(it.norm()):
+        # A non-finite entry anywhere in the iterate makes its KKT error
+        # non-finite, so this one number doubles as the finiteness check.
+        kkt_cur = kkt_error(prob, it)
+        if not math.isfinite(kkt_cur):
             raise RuntimeError("numerical failure: non-finite iterate")
-
+        kkt_avg = kkt_error(prob, average)
         # The current iterate wins only if strictly better; ties go to the average.
-        kkt_cur = kkt_error(prob, it).relative_composite
-        kkt_avg = kkt_error(prob, average).relative_composite
         if kkt_cur < kkt_avg:
             cand, cand_kkt, source = it, kkt_cur, "current"
         else:
@@ -280,7 +272,7 @@ def solve(
             best = cand.copy()
             best_kkt = cand_kkt
         if cand_kkt <= config.tol:
-            it = cand.copy()
+            it, final_kkt = cand.copy(), cand_kkt
             termination = "tolerance"
             break
 
@@ -293,16 +285,15 @@ def solve(
                         + np.sum((cand.q - epoch_start.q) ** 2)
                     )
                 )
-                step.omega = primal_weight_update(dX, dpq, step.omega)
+                omega = primal_weight_update(dX, dpq, omega)
             it = epoch_start = cand.copy()
             epoch_start_kkt = cand_kkt
             average = it.copy()
-            emit(RestartRecord(total, k, cand_kkt, source, step.eta, step.omega, epoch_start))
+            emit(RestartRecord(total, k, cand_kkt, source, eta, omega, epoch_start))
             k = 0
         prev_candidate_kkt = cand_kkt
 
     elapsed = time.perf_counter() - start_time
-    final_kkt = kkt_error(prob, it).relative_composite
     X_feas = round_to_feasible(prob, it.X)
     rounded_objective = float(np.vdot(prob.C, X_feas))
     dual_objective = float(prob.f @ it.p + prob.g @ it.q)

@@ -15,16 +15,17 @@ class SolveReport:
     for the Sinkhorn baseline. ``rounded_objective`` and ``duality_gap`` are
     always evaluated on the exactly feasible rounded plan. In deterministic
     mode ``wall_time_s`` is reported as 0.0 so repeated runs are byte-stable.
+    A bench cell whose solver raised has ``None`` for the results it lacks.
     """
 
     method: str
     solved: bool
     wall_time_s: float
-    iterations: int
-    restarts: int
-    final_relative_kkt: float
-    rounded_objective: float
-    duality_gap: float
+    iterations: int | None
+    restarts: int | None
+    final_relative_kkt: float | None
+    rounded_objective: float | None
+    duality_gap: float | None
     termination_reason: str
     config_echo: dict = field(default_factory=dict)
     restart_lengths: list = field(default_factory=list)

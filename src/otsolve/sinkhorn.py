@@ -31,9 +31,10 @@ class SinkhornConfig:
     deterministic: bool = False
 
     def __post_init__(self):
-        if self.penalty <= 0:
+        # Written as "not x > 0" so that NaN is rejected too.
+        if not self.penalty > 0:
             raise ValueError("penalty must be positive")
-        if self.tol <= 0 or self.max_iters < 1 or self.time_limit_s <= 0:
+        if not self.tol > 0 or self.max_iters < 1 or not self.time_limit_s > 0:
             raise ValueError("tol, max_iters and time_limit_s must be positive")
 
 

@@ -1,8 +1,10 @@
+import csv
 import json
 import math
 
 import pytest
 
+import otsolve.bench
 from otsolve import geomean_gap, grid_problem, run_bench, save_instance, sgm10
 from otsolve.bench import parse_methods, write_summary_csv, write_summary_json
 
@@ -116,6 +118,50 @@ class TestRunBench:
         payload = json.loads(json_path.read_text())
         assert len(payload["cells"]) == 2
         assert "pdot" in payload["groups"]
+
+    def test_failing_cell_recorded(self, tmp_path):
+        # a penalty this small makes the Sinkhorn potentials non-finite; the
+        # pdot cell before it must survive, and both summaries stay valid
+        path = tmp_path / "tiny.txt"
+        path.write_text("2 2\ncost explicit\n1 2\n2 1\n0.5 0.5\n0.5 0.5\n")
+        summary = run_bench([path], methods_csv="pdot,sinkhorn:1e-320", time_limit_s=100.0)
+        pdot, failed = (c.report for c in summary.cells)
+        label = summary.cells[1].method  # the penalty is subnormal, so not "1e-320"
+        assert pdot.solved
+        assert not failed.solved
+        assert failed.termination_reason == "numerical_failure"
+        assert failed.duality_gap is None and failed.rounded_objective is None
+        assert summary.failed == [f"{path} {label}: numerical failure: non-finite potential"]
+        group = summary.groups[label]
+        assert group["geomean_gap"] is None and group["solved"] == 0
+        assert group["sgm10_time"] == pytest.approx(100.0, rel=1e-12)  # counted at the limit
+        assert summary.groups["pdot"]["geomean_gap"] == pytest.approx(pdot.duality_gap)
+
+        csv_path = tmp_path / "summary.csv"
+        json_path = tmp_path / "summary.json"
+        write_summary_csv(summary, csv_path)
+        write_summary_json(summary, json_path)
+
+        def reject(constant):
+            raise AssertionError(f"{constant} in the JSON summary")
+
+        payload = json.loads(json_path.read_text(), parse_constant=reject)
+        assert [c["report"]["termination_reason"] for c in payload["cells"]] == [
+            "tolerance", "numerical_failure"
+        ]
+        assert payload["failed"] == summary.failed
+        rows = list(csv.reader(csv_path.read_text().splitlines()))
+        assert len(rows) == 3
+        assert rows[2][:3] == [str(path), label, "1e-320"]
+        assert rows[2][4:] == ["False", "", "", "", ""]
+
+    def test_bad_method_fails_before_any_solve(self, instance_dir, monkeypatch):
+        def boom(*args, **kwargs):
+            raise AssertionError("no cell may run before every config is built")
+
+        monkeypatch.setattr(otsolve.bench, "solve", boom)
+        with pytest.raises(ValueError):
+            run_bench(sorted(instance_dir.glob("*.txt")), methods_csv="pdot,sinkhorn:-1")
 
     def test_objective_never_beats_the_optimum(self, tmp_path):
         # objectives come from exactly feasible plans, so they are true upper

@@ -98,6 +98,15 @@ class TestSolve:
         assert rc == 1
         assert "error: marginal mass overflows" in capsys.readouterr().err
 
+    def test_nan_setting_errors(self, instance_file, tmp_path, capsys):
+        rc = main([
+            "solve", "--instance", str(instance_file), "--method", "pdot",
+            "--tol", "nan", "--out", str(tmp_path / "r.json"),
+        ])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "r.json").exists()
+
     def test_solver_failure_errors(self, tmp_path, capsys):
         # a penalty this small makes the Sinkhorn potentials non-finite
         path = tmp_path / "tiny.txt"
@@ -154,3 +163,37 @@ class TestBench:
         assert set(payload["groups"]) == {"pdot", "sinkhorn(0.01)"}
         assert "pdot" in capsys.readouterr().out
         assert len(summary_csv.read_text().strip().splitlines()) == 5
+
+    def test_failing_cell_keeps_the_sweep(self, tmp_path, capsys):
+        inst_dir = tmp_path / "instances"
+        inst_dir.mkdir()
+        path = inst_dir / "tiny.txt"
+        path.write_text("2 2\ncost explicit\n1 2\n2 1\n0.5 0.5\n0.5 0.5\n")
+        summary_csv = tmp_path / "summary.csv"
+        summary_json = tmp_path / "summary.json"
+        rc = main([
+            "bench", "--instances", str(inst_dir), "--methods", "pdot,sinkhorn:1e-320",
+            "--summary", str(summary_csv), "--json", str(summary_json),
+        ])
+        assert rc == 0
+        [err] = capsys.readouterr().err.splitlines()
+        assert err.startswith(f"failed: {path} sinkhorn(")
+        assert err.endswith(": numerical failure: non-finite potential")
+        payload = json.loads(summary_json.read_text())
+        pdot, sinkhorn = (payload["groups"][c["method"]] for c in payload["cells"])
+        assert pdot["solved"] == 1
+        assert sinkhorn["solved"] == 0 and sinkhorn["geomean_gap"] is None
+        assert len(summary_csv.read_text().strip().splitlines()) == 3
+
+    @pytest.mark.parametrize("make_dir", [True, False])
+    def test_no_instances_errors(self, tmp_path, capsys, make_dir):
+        inst_dir = tmp_path / "instances"
+        if make_dir:
+            inst_dir.mkdir()
+        rc = main([
+            "bench", "--instances", str(inst_dir), "--methods", "pdot",
+            "--summary", str(tmp_path / "s.csv"), "--json", str(tmp_path / "s.json"),
+        ])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: no *.txt instance files in {inst_dir}\n"
+        assert not (tmp_path / "s.csv").exists()

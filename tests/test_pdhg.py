@@ -1,6 +1,5 @@
 import math
 from dataclasses import fields
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,7 +10,6 @@ from otsolve import (
     Iterate,
     OTShape,
     SolverConfig,
-    StepState,
     default_stepsize,
     materialize_A,
     pdhg_step,
@@ -135,11 +133,26 @@ class TestStepSize:
         expected = [0.25, 0.2625, 0.275625, 0.28940625, 0.3, 0.3, 0.3, 0.3]
         assert etas == pytest.approx(expected, rel=1e-14)
 
-    def test_step_state_relation(self):
-        step = StepState(eta=0.3, omega=4.0)
-        assert step.tau * step.sigma == pytest.approx(step.eta**2, rel=1e-15)
-        assert step.tau == pytest.approx(0.075)
-        assert step.sigma == pytest.approx(1.2)
+    def test_tau_sigma_from_eta_omega(self, monkeypatch):
+        # each epoch's first trial takes tau = eta / omega and sigma = eta * omega
+        # from its record; later trials change eta but keep omega
+        prob = random_problem(np.random.default_rng(6), 3, 5)
+        trials = []
+        real = otsolve.pdhg.pdhg_step
+
+        def step(prob, it, tau, sigma):
+            trials.append((tau, sigma))
+            return real(prob, it, tau, sigma)
+
+        monkeypatch.setattr(otsolve.pdhg, "pdhg_step", step)
+        epochs = []  # (record, index of the epoch's first trial)
+        solve(prob, SolverConfig(tol=1e-6), on_restart=lambda r: epochs.append((r, len(trials))))
+        assert len(epochs) >= 4 and len({r.omega for r, _ in epochs}) > 1
+        ends = [start for _, start in epochs[1:]] + [len(trials)]
+        for (record, start), end in zip(epochs, ends):
+            assert trials[start] == (record.eta / record.omega, record.eta * record.omega)
+            for tau, sigma in trials[start:end]:
+                assert sigma / tau == pytest.approx(record.omega**2, rel=1e-12)
 
 
 class TestPrimalWeight:
@@ -164,7 +177,7 @@ def restart_with_kkts(monkeypatch, kkt_current, kkt_average):
             value = 1.0  # the starting point
         else:
             value = kkt_current if it is steps[-1][0] else kkt_average
-        return SimpleNamespace(relative_composite=value)
+        return value
 
     monkeypatch.setattr(otsolve.pdhg, "kkt_error", kkt)
     prob = random_problem(np.random.default_rng(7), 3, 3)
@@ -315,6 +328,51 @@ class TestSolve:
         assert [r.iteration for r in records[1:]] == np.cumsum(report.restart_lengths).tolist()
         assert {r.candidate for r in records[1:]} <= {"current", "average"}
 
+    def test_kkt_error_calls(self, monkeypatch):
+        # one evaluation of the start, then the current iterate and the
+        # average once each per iteration; the report reuses a known value
+        calls = []
+        real_kkt = otsolve.pdhg.kkt_error
+
+        def kkt(prob, it):
+            calls.append(real_kkt(prob, it))
+            return calls[-1]
+
+        monkeypatch.setattr(otsolve.pdhg, "kkt_error", kkt)
+        prob = random_problem(np.random.default_rng(6), 3, 5)
+        tiny, opt = two_by_two_optimal()
+        for problem, cfg, initial in (
+            (prob, SolverConfig(tol=1e-6), None),
+            (prob, SolverConfig(tol=1e-14, max_iters=30), None),
+            (prob, SolverConfig(tol=1e-6, restart_mode=FIXED_BETA), None),
+            (tiny, SolverConfig(tol=1e-6), opt),
+        ):
+            calls.clear()
+            _, report = solve(problem, cfg, initial=initial)
+            assert len(calls) == 1 + 2 * report.iterations
+            assert report.final_relative_kkt in calls
+
+    def test_non_finite_iterate_fails(self, monkeypatch):
+        real = otsolve.pdhg.pdhg_step
+
+        def step(prob, it, tau, sigma):
+            out = real(prob, it, tau, sigma)
+            out.q[-1] = math.nan
+            return out
+
+        monkeypatch.setattr(otsolve.pdhg, "pdhg_step", step)
+        prob = random_problem(np.random.default_rng(3), 3, 4)
+        with pytest.raises(RuntimeError, match="numerical failure: non-finite iterate"):
+            solve(prob, SolverConfig(restart_mode=FIXED_BETA))
+
+    def test_huge_finite_start_is_no_failure(self):
+        # a finite start whose squared norm overflows runs to the limit
+        prob, _ = two_by_two_optimal()
+        start = Iterate(np.zeros((2, 2)), np.full(2, -1e200), np.zeros(2))
+        _, report = solve(prob, SolverConfig(max_iters=3), initial=start)
+        assert report.termination_reason == "iteration_limit"
+        assert math.isfinite(report.final_relative_kkt)
+
     def test_iteration_limit(self):
         rng = np.random.default_rng(9)
         prob = random_problem(rng, 4, 4)
@@ -334,7 +392,8 @@ class TestSolve:
         rng = np.random.default_rng(12)
         prob = random_problem(rng, 5, 3)
         it, report = solve(prob, SolverConfig(tol=1e-6))
-        assert math.isfinite(it.norm())
+        for block in (it.X, it.p, it.q):
+            assert np.all(np.isfinite(block))
         assert report.final_relative_kkt <= 1e-6
 
     def test_whitenoise_grid_self_certifies(self):
@@ -365,6 +424,11 @@ class TestConfigValidation:
     def test_rejects_bad_beta(self):
         with pytest.raises(ValueError):
             SolverConfig(beta=1.5)
+
+    def test_rejects_nan(self):
+        for name in ("tol", "time_limit_s", "beta"):
+            with pytest.raises(ValueError):
+                SolverConfig(**{name: math.nan})
 
     def test_rejects_bad_mode(self):
         with pytest.raises(ValueError):

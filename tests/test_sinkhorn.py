@@ -120,3 +120,6 @@ class TestSinkhornSolve:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             SinkhornConfig(penalty=0.0)
+        for name in ("penalty", "tol", "time_limit_s"):
+            with pytest.raises(ValueError):
+                SinkhornConfig(**{name: float("nan")})
