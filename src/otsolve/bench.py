@@ -5,7 +5,7 @@ from __future__ import annotations
 import csv
 import json
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -41,27 +41,42 @@ def geomean_gap(gaps) -> float:
 
 @dataclass
 class MethodSpec:
+    """A method of a sweep, and the one place that tells the solvers apart."""
+
     name: str  # "pdot" or "sinkhorn"
-    penalty: float | None = None
+    penalty: float | None = None  # Sinkhorn's; None leaves the config default
 
-    @property
-    def label(self) -> str:
+    def config(self, **settings) -> SolverConfig | SinkhornConfig:
+        """This method's config from the given settings and the config's defaults.
+
+        A setting given as None, or not a field of this method's config (such
+        as ``beta`` for Sinkhorn), is left out.
+        """
+        cls = SolverConfig if self.name == "pdot" else SinkhornConfig
+        names = {f.name for f in fields(cls)}
+        given = {"penalty": self.penalty, **settings}
+        return cls(**{k: v for k, v in given.items() if k in names and v is not None})
+
+    def run(self, prob: OTProblem, cfg) -> SolveReport:
+        # Each method's gap is measured against its own duals, mirroring how the
+        # trade-off between the solvers is usually reported.
         if self.name == "pdot":
-            return "pdot"
-        return f"sinkhorn({self.penalty:g})"
+            return solve(prob, cfg)[1]
+        return sinkhorn_solve(prob, cfg)[2]
+
+    def label(self, cfg) -> str:
+        return "pdot" if self.name == "pdot" else f"sinkhorn({cfg.penalty!r})"
 
 
-def parse_methods(methods_csv: str, default_penalty: float = 0.001) -> list[MethodSpec]:
-    """Parse a methods list like ``pdot,sinkhorn:0.01,sinkhorn:0.001``."""
+def parse_methods(methods_csv: str) -> list[MethodSpec]:
+    """Parse a methods list like ``pdot,sinkhorn:0.01,sinkhorn``."""
     specs = []
     for token in methods_csv.split(","):
         token = token.strip()
         if not token:
             continue
-        if token == "pdot":
-            specs.append(MethodSpec("pdot"))
-        elif token == "sinkhorn":
-            specs.append(MethodSpec("sinkhorn", default_penalty))
+        if token in ("pdot", "sinkhorn"):
+            specs.append(MethodSpec(token))
         elif token.startswith("sinkhorn:"):
             specs.append(MethodSpec("sinkhorn", float(token.split(":", 1)[1])))
         else:
@@ -87,58 +102,29 @@ class BenchSummary:
     failed: list = field(default_factory=list)
 
 
-def _method_config(spec: MethodSpec, tol, time_limit_s, deterministic):
-    if spec.name == "pdot":
-        return SolverConfig(tol=tol, time_limit_s=time_limit_s, deterministic=deterministic)
-    return SinkhornConfig(
-        penalty=spec.penalty, tol=tol, time_limit_s=time_limit_s, deterministic=deterministic
-    )
-
-
-def _run_cell(prob: OTProblem, spec: MethodSpec, cfg) -> SolveReport:
-    # Each method's gap is measured against its own duals, mirroring how the
-    # trade-off between the solvers is usually reported.
-    if spec.name == "pdot":
-        return solve(prob, cfg)[1]
-    return sinkhorn_solve(prob, cfg)[2]
-
-
-def _failed_report(spec: MethodSpec, cfg, elapsed: float) -> SolveReport:
-    """An unsolved cell whose solver raised: it has no iterate to report on."""
-    return SolveReport(
-        method=spec.name,
-        solved=False,
-        wall_time_s=0.0 if cfg.deterministic else elapsed,
-        iterations=None,
-        restarts=None,
-        final_relative_kkt=None,
-        rounded_objective=None,
-        duality_gap=None,
-        termination_reason="numerical_failure",
-        config_echo=asdict(cfg),
-    )
-
-
-def run_bench(
-    instance_paths,
-    methods_csv: str = "pdot",
-    tol: float = 1e-4,
-    time_limit_s: float = 3600.0,
-    deterministic: bool = False,
-) -> BenchSummary:
+def run_bench(instance_paths, methods_csv: str = "pdot", tol: float | None = None,
+              time_limit_s: float | None = None, deterministic: bool = False) -> BenchSummary:
     """Run every (instance, method) cell and aggregate per-method metrics.
 
-    Unreadable or malformed instance files are recorded in ``missing`` and
-    skipped. A solver ``RuntimeError`` is recorded in ``failed`` and its cell
-    kept as unsolved with ``termination_reason="numerical_failure"`` and no
-    objective or gap. Per the reporting protocol, every cell's objective and
-    gap come from the rounded feasible plan, unsolved cells enter SGM10 at the
-    time limit, and the geometric-mean gap is taken over the cells that have
-    a gap (``None`` if none do).
+    ``tol`` and ``time_limit_s`` left as None take each method's config
+    default, and ``deterministic`` writes every wall time as 0.0. Unreadable
+    or malformed instance files are recorded in ``missing`` and skipped. A
+    solver ``RuntimeError`` is recorded in ``failed`` and its cell kept as
+    unsolved with ``termination_reason="numerical_failure"`` and no objective
+    or gap. Per the reporting protocol, every cell's objective and gap come
+    from the rounded feasible plan, unsolved cells enter SGM10 at their
+    method's time limit, and the geometric-mean gap is taken over the cells
+    that have a gap (``None`` if none do).
     """
-    specs = parse_methods(methods_csv)
-    # Built before any solve, so a bad setting fails before the sweep starts.
-    configs = [_method_config(spec, tol, time_limit_s, deterministic) for spec in specs]
+    # Built before any solve, so a bad setting or a repeated method fails
+    # before the sweep starts.
+    methods = {}
+    for spec in parse_methods(methods_csv):
+        cfg = spec.config(tol=tol, time_limit_s=time_limit_s)
+        label = spec.label(cfg)
+        if label in methods:
+            raise ValueError(f"method {label} given twice")
+        methods[label] = (spec, cfg)
     summary = BenchSummary()
     for path in instance_paths:
         name = str(path)
@@ -147,25 +133,28 @@ def run_bench(
         except (OSError, InstanceError) as exc:
             summary.missing.append(f"{name}: {exc}")
             continue
-        for spec, cfg in zip(specs, configs):
+        for label, (spec, cfg) in methods.items():
             start = time.perf_counter()
             try:
-                report = _run_cell(prob, spec, cfg)
+                report = spec.run(prob, cfg)
             except RuntimeError as exc:
-                summary.failed.append(f"{name} {spec.label}: {exc}")
-                report = _failed_report(spec, cfg, time.perf_counter() - start)
-            summary.cells.append(
-                BenchCell(instance=name, method=spec.label, penalty=spec.penalty, report=report)
-            )
-    for spec in specs:
-        rows = [c for c in summary.cells if c.method == spec.label]
+                summary.failed.append(f"{name} {label}: {exc}")
+                # An unsolved cell: its solver left no iterate to report on.
+                elapsed = time.perf_counter() - start
+                report = SolveReport(spec.name, False, elapsed, "numerical_failure",
+                                     config_echo=asdict(cfg))
+            if deterministic:
+                report.wall_time_s = 0.0
+            summary.cells.append(BenchCell(name, label, getattr(cfg, "penalty", None), report))
+    for label, (_, cfg) in methods.items():
+        rows = [c for c in summary.cells if c.method == label]
         if not rows:
             continue
         times = [c.report.wall_time_s for c in rows]
         solved = [c.report.solved for c in rows]
         gaps = [c.report.duality_gap for c in rows if c.report.duality_gap is not None]
-        summary.groups[spec.label] = {
-            "sgm10_time": sgm10(times, solved, time_limit_s),
+        summary.groups[label] = {
+            "sgm10_time": sgm10(times, solved, cfg.time_limit_s),
             "geomean_gap": geomean_gap(gaps) if gaps else None,
             "solved": int(sum(solved)),
             "instances": len(rows),

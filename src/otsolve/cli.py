@@ -6,7 +6,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .bench import run_bench, write_summary_csv, write_summary_json
+from .bench import MethodSpec, run_bench, write_summary_csv, write_summary_json
 from .instance import (
     GRID_COST_KINDS,
     InstanceError,
@@ -16,8 +16,7 @@ from .instance import (
     save_instance,
 )
 from .oracle import exact_oracle
-from .pdhg import ADAPTIVE, FIXED_BETA, SolverConfig, solve
-from .sinkhorn import SinkhornConfig, sinkhorn_solve
+from .pdhg import ADAPTIVE, FIXED_BETA
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -27,13 +26,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p_solve = sub.add_parser("solve", help="solve one instance and write a JSON report")
     p_solve.add_argument("--instance", required=True)
     p_solve.add_argument("--method", required=True, choices=["pdot", "sinkhorn"])
-    p_solve.add_argument("--tol", type=float, default=1e-4)
-    p_solve.add_argument("--time-limit", type=float, default=3600.0)
-    p_solve.add_argument("--penalty", type=float, default=0.001,
-                         help="sinkhorn regularization penalty")
-    p_solve.add_argument("--restart", choices=[ADAPTIVE, FIXED_BETA], default=ADAPTIVE)
-    p_solve.add_argument("--beta", type=float, default=0.5,
-                         help="fixed-mode restart decay factor")
+    p_solve.add_argument("--tol", type=float)
+    p_solve.add_argument("--time-limit", type=float)
+    p_solve.add_argument("--penalty", type=float, help="sinkhorn regularization penalty")
+    p_solve.add_argument("--restart", choices=[ADAPTIVE, FIXED_BETA])
+    p_solve.add_argument("--beta", type=float, help="fixed-mode restart decay factor")
     p_solve.add_argument("--deterministic", action="store_true",
                          help="byte-stable reports (wall time reported as 0.0)")
     p_solve.add_argument("--out", required=True)
@@ -51,9 +48,10 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="comma list, e.g. pdot,sinkhorn:0.01,sinkhorn:0.001")
     p_bench.add_argument("--summary", required=True, help="summary CSV path")
     p_bench.add_argument("--json", required=True, help="full JSON output path")
-    p_bench.add_argument("--tol", type=float, default=1e-4)
-    p_bench.add_argument("--time-limit", type=float, default=3600.0)
-    p_bench.add_argument("--deterministic", action="store_true")
+    p_bench.add_argument("--tol", type=float)
+    p_bench.add_argument("--time-limit", type=float)
+    p_bench.add_argument("--deterministic", action="store_true",
+                         help="byte-stable summaries (wall times reported as 0.0)")
 
     p_oracle = sub.add_parser("oracle", help="exact objective of a tiny instance")
     p_oracle.add_argument("--instance", required=True)
@@ -62,23 +60,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_solve(args) -> int:
     prob = load_instance(args.instance)
-    if args.method == "pdot":
-        cfg = SolverConfig(
-            tol=args.tol,
-            time_limit_s=args.time_limit,
-            restart_mode=args.restart,
-            beta=args.beta,
-            deterministic=args.deterministic,
-        )
-        _, report = solve(prob, cfg)
-    else:
-        cfg = SinkhornConfig(
-            penalty=args.penalty,
-            tol=args.tol,
-            time_limit_s=args.time_limit,
-            deterministic=args.deterministic,
-        )
-        _, _, report = sinkhorn_solve(prob, cfg)
+    # Settings not given are None, and the method's config takes its default.
+    spec = MethodSpec(args.method, args.penalty)
+    cfg = spec.config(
+        tol=args.tol, time_limit_s=args.time_limit, restart_mode=args.restart, beta=args.beta
+    )
+    report = spec.run(prob, cfg)
+    if args.deterministic:
+        report.wall_time_s = 0.0
     Path(args.out).write_text(report.to_json() + "\n", encoding="utf-8")
     print(
         f"{report.method}: solved={report.solved} iters={report.iterations} "
@@ -99,13 +88,7 @@ def _cmd_bench(args) -> int:
     paths = sorted(Path(args.instances).glob("*.txt"))
     if not paths:
         raise InstanceError(f"no *.txt instance files in {args.instances}")
-    summary = run_bench(
-        paths,
-        methods_csv=args.methods,
-        tol=args.tol,
-        time_limit_s=args.time_limit,
-        deterministic=args.deterministic,
-    )
+    summary = run_bench(paths, args.methods, args.tol, args.time_limit, args.deterministic)
     write_summary_csv(summary, args.summary)
     write_summary_json(summary, args.json)
     for label, group in summary.groups.items():
@@ -139,7 +122,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (InstanceError, OSError, ValueError, RuntimeError) as exc:
+    except (InstanceError, OSError, ValueError, RuntimeError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

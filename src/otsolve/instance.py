@@ -327,10 +327,12 @@ def load_instance(path) -> OTProblem:
         r = math.isqrt(m)
         if r * r != m:
             raise InstanceFormatError("grid cost requires a perfect-square dimension")
-        cost = grid_cost(r, kind)
 
     if len(lines) != pos + 2:
         raise InstanceFormatError("instance file has trailing or missing lines")
     f = _parse_floats(lines[pos].split(), m, "row marginal")
     g = _parse_floats(lines[pos + 1].split(), n, "column marginal")
+    # The O(m^2) grid cost is built only once the whole file has checked out.
+    if kind != EXPLICIT:
+        cost = grid_cost(r, kind)
     return OTProblem(cost=cost, row_marginal=Marginal(f), col_marginal=Marginal(g))

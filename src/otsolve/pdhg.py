@@ -26,14 +26,14 @@ from __future__ import annotations
 import math
 import time
 from collections.abc import Callable
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
 from .instance import OTProblem
 from .kkt import Iterate, kkt_error
 from .operator import apply_A, apply_At
-from .reports import SolveReport
+from .reports import SolveReport, finished_report
 from .rounding import round_to_feasible
 
 FIXED_BETA = "fixed"
@@ -57,11 +57,10 @@ class SolverConfig:
     restart_mode: str = ADAPTIVE
     beta: float = 0.5  # fixed-mode restart decay factor
     max_iters: int = 1_000_000
-    deterministic: bool = False
 
     def __post_init__(self):
         # Written as "not x > 0" so that NaN is rejected too.
-        if not self.tol > 0 or not self.time_limit_s > 0 or self.max_iters < 1:
+        if not self.tol > 0 or not self.time_limit_s > 0 or not self.max_iters >= 1:
             raise ValueError("tol, time_limit_s and max_iters must be positive")
         if not 0.0 < self.beta < 1.0:
             raise ValueError("beta must lie in (0, 1)")
@@ -294,21 +293,9 @@ def solve(
         prev_candidate_kkt = cand_kkt
 
     elapsed = time.perf_counter() - start_time
-    X_feas = round_to_feasible(prob, it.X)
-    rounded_objective = float(np.vdot(prob.C, X_feas))
-    dual_objective = float(prob.f @ it.p + prob.g @ it.q)
-    report = SolveReport(
-        method="pdot",
-        solved=termination == "tolerance",
-        wall_time_s=0.0 if config.deterministic else float(elapsed),
-        iterations=total,
-        restarts=len(history) - 1,
-        final_relative_kkt=final_kkt,
-        rounded_objective=rounded_objective,
-        duality_gap=abs(rounded_objective - dual_objective),
-        termination_reason=termination,
-        config_echo=asdict(config),
+    return it, finished_report(
+        "pdot", config, prob, round_to_feasible(prob, it.X), it.p, it.q,
+        termination=termination, iterations=total, final_kkt=final_kkt, wall_time_s=elapsed,
         restart_lengths=[length for length, _ in history[1:]],
         restart_kkts=[kkt for _, kkt in history],
     )
-    return it, report

@@ -12,13 +12,13 @@ diverge) and reinserted as zero rows/columns of the plan afterwards.
 from __future__ import annotations
 
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import logsumexp
 
 from .instance import OTProblem
-from .reports import SolveReport
+from .reports import SolveReport, finished_report
 from .rounding import round_to_feasible
 
 
@@ -28,13 +28,12 @@ class SinkhornConfig:
     tol: float = 1e-4
     max_iters: int = 100_000
     time_limit_s: float = 3600.0
-    deterministic: bool = False
 
     def __post_init__(self):
         # Written as "not x > 0" so that NaN is rejected too.
         if not self.penalty > 0:
             raise ValueError("penalty must be positive")
-        if not self.tol > 0 or self.max_iters < 1 or not self.time_limit_s > 0:
+        if not self.tol > 0 or not self.max_iters >= 1 or not self.time_limit_s > 0:
             raise ValueError("tol, max_iters and time_limit_s must be positive")
 
 
@@ -82,10 +81,12 @@ def sinkhorn_solve(
     phi = np.zeros(f.size)
     psi = np.zeros(g.size)
     iterations = 0
-    termination = None
-    X = _plan(phi, psi, C, eps)
-    feasibility = float(np.abs(X.sum(axis=1) - f).sum() + np.abs(X.sum(axis=0) - g).sum())
-    while termination is None:
+    while True:
+        X = _plan(phi, psi, C, eps)
+        feasibility = float(np.abs(X.sum(axis=1) - f).sum() + np.abs(X.sum(axis=0) - g).sum())
+        if feasibility <= cfg.tol:
+            termination = "tolerance"
+            break
         if iterations >= cfg.max_iters:
             termination = "iteration_limit"
             break
@@ -97,12 +98,6 @@ def sinkhorn_solve(
         iterations += 1
         if not (np.all(np.isfinite(phi)) and np.all(np.isfinite(psi))):
             raise RuntimeError("numerical failure: non-finite potential")
-        X = _plan(phi, psi, C, eps)
-        feasibility = float(
-            np.abs(X.sum(axis=1) - f).sum() + np.abs(X.sum(axis=0) - g).sum()
-        )
-        if feasibility <= cfg.tol:
-            termination = "tolerance"
 
     plan = np.zeros((prob.m, prob.n))
     plan[np.ix_(row_mask, col_mask)] = X
@@ -113,20 +108,9 @@ def sinkhorn_solve(
     potentials = Potentials(phi_full, psi_full)
 
     elapsed = time.perf_counter() - start_time
-    X_feas = round_to_feasible(prob, plan)
-    rounded_objective = float(np.vdot(prob.C, X_feas))
-    dual_objective = float(prob.f @ phi_full + prob.g @ psi_full)
-    report = SolveReport(
-        method="sinkhorn",
-        solved=termination == "tolerance",
-        wall_time_s=0.0 if cfg.deterministic else float(elapsed),
-        iterations=iterations,
-        restarts=0,
-        final_relative_kkt=float(feasibility),
-        rounded_objective=rounded_objective,
-        duality_gap=abs(rounded_objective - dual_objective),
-        termination_reason=termination,
-        config_echo=asdict(cfg),
+    report = finished_report(
+        "sinkhorn", cfg, prob, round_to_feasible(prob, plan), phi_full, psi_full,
+        termination=termination, iterations=iterations, final_kkt=feasibility,
+        wall_time_s=elapsed,
     )
     return plan, potentials, report
-

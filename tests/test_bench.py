@@ -1,11 +1,20 @@
 import csv
 import json
 import math
+from dataclasses import asdict
 
 import pytest
 
 import otsolve.bench
-from otsolve import geomean_gap, grid_problem, run_bench, save_instance, sgm10
+from otsolve import (
+    SinkhornConfig,
+    SolverConfig,
+    geomean_gap,
+    grid_problem,
+    run_bench,
+    save_instance,
+    sgm10,
+)
 from otsolve.bench import parse_methods, write_summary_csv, write_summary_json
 
 
@@ -48,7 +57,18 @@ class TestGeomeanGap:
 class TestParseMethods:
     def test_full_sweep(self):
         specs = parse_methods("pdot,sinkhorn:0.01,sinkhorn")
-        assert [s.label for s in specs] == ["pdot", "sinkhorn(0.01)", "sinkhorn(0.001)"]
+        labels = [s.label(s.config()) for s in specs]
+        assert labels == ["pdot", "sinkhorn(0.01)", "sinkhorn(0.001)"]
+
+    def test_plain_sinkhorn_takes_the_config_default(self):
+        [spec] = parse_methods("sinkhorn")
+        assert spec.config() == SinkhornConfig()
+
+    def test_settings_left_to_the_config(self):
+        # None, and settings the method does not have, leave the config's defaults
+        pdot, sinkhorn = parse_methods("pdot,sinkhorn:0.01")
+        assert pdot.config(tol=None, penalty=0.5) == SolverConfig()
+        assert sinkhorn.config(tol=1e-6, beta=0.3) == SinkhornConfig(penalty=0.01, tol=1e-6)
 
     def test_unknown_method(self):
         with pytest.raises(ValueError):
@@ -126,7 +146,8 @@ class TestRunBench:
         path.write_text("2 2\ncost explicit\n1 2\n2 1\n0.5 0.5\n0.5 0.5\n")
         summary = run_bench([path], methods_csv="pdot,sinkhorn:1e-320", time_limit_s=100.0)
         pdot, failed = (c.report for c in summary.cells)
-        label = summary.cells[1].method  # the penalty is subnormal, so not "1e-320"
+        label = summary.cells[1].method
+        assert label == "sinkhorn(1e-320)"  # the exact penalty, though it is subnormal
         assert pdot.solved
         assert not failed.solved
         assert failed.termination_reason == "numerical_failure"
@@ -162,6 +183,37 @@ class TestRunBench:
         monkeypatch.setattr(otsolve.bench, "solve", boom)
         with pytest.raises(ValueError):
             run_bench(sorted(instance_dir.glob("*.txt")), methods_csv="pdot,sinkhorn:-1")
+
+    def test_close_penalties_stay_apart(self, instance_dir):
+        paths = [instance_dir / "cl3.txt"]
+        summary = run_bench(paths, methods_csv="sinkhorn:0.0010000001,sinkhorn:0.001")
+        assert list(summary.groups) == ["sinkhorn(0.0010000001)", "sinkhorn(0.001)"]
+        assert [g["instances"] for g in summary.groups.values()] == [1, 1]
+        assert [c.penalty for c in summary.cells] == [0.0010000001, 0.001]
+
+    @pytest.mark.parametrize("methods", ["pdot,pdot", "sinkhorn,sinkhorn:0.001"])
+    def test_repeated_method_fails_before_any_solve(self, instance_dir, monkeypatch, methods):
+        def boom(*args, **kwargs):
+            raise AssertionError("no cell may run before every method is checked")
+
+        monkeypatch.setattr(otsolve.bench, "solve", boom)
+        monkeypatch.setattr(otsolve.bench, "sinkhorn_solve", boom)
+        with pytest.raises(ValueError, match="given twice"):
+            run_bench(sorted(instance_dir.glob("*.txt")), methods_csv=methods)
+
+    def test_settings_default_to_the_configs(self, tmp_path):
+        path = tmp_path / "tiny.txt"
+        path.write_text("2 2\ncost explicit\n1 2\n2 1\n0.5 0.5\n0.5 0.5\n")
+        summary = run_bench([path], methods_csv="pdot,sinkhorn")
+        pdot, sinkhorn = (c.report.config_echo for c in summary.cells)
+        assert pdot == asdict(SolverConfig())
+        assert sinkhorn == asdict(SinkhornConfig())
+
+    def test_deterministic_zeroes_wall_time(self, instance_dir):
+        paths = sorted(instance_dir.glob("*.txt"))
+        summary = run_bench(paths, methods_csv="pdot", deterministic=True)
+        assert [c.report.wall_time_s for c in summary.cells] == [0.0, 0.0]
+        assert summary.groups["pdot"]["sgm10_time"] == pytest.approx(0.0, abs=1e-12)
 
     def test_objective_never_beats_the_optimum(self, tmp_path):
         # objectives come from exactly feasible plans, so they are true upper

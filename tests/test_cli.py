@@ -1,8 +1,10 @@
 import json
+from dataclasses import asdict
 
 import pytest
 
-from otsolve import SolveReport, load_instance
+import otsolve.cli
+from otsolve import SinkhornConfig, SolveReport, SolverConfig, load_instance
 from otsolve.cli import main
 
 
@@ -67,6 +69,24 @@ class TestSolve:
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
 
+    @pytest.mark.parametrize("method, config", [("pdot", SolverConfig), ("sinkhorn", SinkhornConfig)])
+    @pytest.mark.parametrize("deterministic", [True, False])
+    def test_settings_not_given_take_the_config_defaults(
+        self, tmp_path, method, config, deterministic
+    ):
+        path = tmp_path / "tiny.txt"
+        path.write_text("2 2\ncost explicit\n1 2\n2 1\n0.5 0.5\n0.5 0.5\n")
+        out = tmp_path / "report.json"
+        flags = ["--deterministic"] if deterministic else []
+        rc = main(["solve", "--instance", str(path), "--method", method, "--out", str(out), *flags])
+        assert rc == 0
+        report = SolveReport.from_json(out.read_text())
+        assert report.config_echo == asdict(config())
+        if deterministic:
+            assert report.wall_time_s == 0.0
+        else:
+            assert report.wall_time_s > 0.0
+
     def test_fixed_restart_flag(self, instance_file, tmp_path):
         out = tmp_path / "report.json"
         rc = main([
@@ -106,6 +126,29 @@ class TestSolve:
         assert rc == 1
         assert capsys.readouterr().err.startswith("error: ")
         assert not (tmp_path / "r.json").exists()
+
+    def test_huge_grid_with_bad_marginal_errors(self, tmp_path, capsys):
+        # the marginal lines are checked before the 4e6 x 4e6 grid cost is built
+        path = tmp_path / "huge.txt"
+        path.write_text("4000000 4000000\ncost l1\n1\n1\n")
+        rc = main([
+            "solve", "--instance", str(path), "--method", "pdot",
+            "--out", str(tmp_path / "r.json"),
+        ])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: dimension mismatch in row marginal\n"
+
+    def test_memory_error_errors(self, instance_file, tmp_path, capsys, monkeypatch):
+        def too_big(path):
+            raise MemoryError("Unable to allocate 233. TiB")
+
+        monkeypatch.setattr(otsolve.cli, "load_instance", too_big)
+        rc = main([
+            "solve", "--instance", str(instance_file), "--method", "pdot",
+            "--out", str(tmp_path / "r.json"),
+        ])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: Unable to allocate 233. TiB\n"
 
     def test_solver_failure_errors(self, tmp_path, capsys):
         # a penalty this small makes the Sinkhorn potentials non-finite
@@ -177,8 +220,7 @@ class TestBench:
         ])
         assert rc == 0
         [err] = capsys.readouterr().err.splitlines()
-        assert err.startswith(f"failed: {path} sinkhorn(")
-        assert err.endswith(": numerical failure: non-finite potential")
+        assert err == f"failed: {path} sinkhorn(1e-320): numerical failure: non-finite potential"
         payload = json.loads(summary_json.read_text())
         pdot, sinkhorn = (payload["groups"][c["method"]] for c in payload["cells"])
         assert pdot["solved"] == 1

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import otsolve.instance
 from otsolve import (
     GridImage,
     InstanceError,
@@ -221,6 +222,17 @@ class TestFileRoundTrip:
         path = tmp_path / "bad.txt"
         path.write_text("2 2\ncost explicit\n0 1\n1 0\n0.5 0.5 0.5\n0.5 0.5\n")
         with pytest.raises(InstanceFormatError, match="dimension mismatch"):
+            load_instance(path)
+
+    def test_marginals_checked_before_the_grid_cost(self, tmp_path, monkeypatch):
+        # a 4e6 x 4e6 grid cost would need 233 TiB; a bad file must fail first
+        def boom(*args, **kwargs):
+            raise AssertionError("grid cost built for a malformed file")
+
+        monkeypatch.setattr(otsolve.instance, "grid_cost", boom)
+        path = tmp_path / "huge.txt"
+        path.write_text("4000000 4000000\ncost l1\n1\n1\n")
+        with pytest.raises(InstanceFormatError, match="dimension mismatch in row marginal"):
             load_instance(path)
 
 

@@ -426,7 +426,7 @@ class TestConfigValidation:
             SolverConfig(beta=1.5)
 
     def test_rejects_nan(self):
-        for name in ("tol", "time_limit_s", "beta"):
+        for name in ("tol", "time_limit_s", "beta", "max_iters"):
             with pytest.raises(ValueError):
                 SolverConfig(**{name: math.nan})
 
@@ -434,8 +434,6 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             SolverConfig(restart_mode="sometimes")
 
-    def test_only_the_six_settings(self):
+    def test_only_the_five_settings(self):
         names = [f.name for f in fields(SolverConfig)]
-        assert names == [
-            "tol", "time_limit_s", "restart_mode", "beta", "max_iters", "deterministic"
-        ]
+        assert names == ["tol", "time_limit_s", "restart_mode", "beta", "max_iters"]

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import otsolve.sinkhorn
 from otsolve import SinkhornConfig, sinkhorn_solve
 from otsolve.sinkhorn import _plan, _update_phi, _update_psi
 
@@ -117,9 +118,31 @@ class TestSinkhornSolve:
         assert report.termination_reason == "iteration_limit"
         assert report.iterations == 5
 
+    def test_start_meeting_tol_takes_no_iteration(self):
+        # exp(-ln 4) = 1/4 is the product coupling of uniform 2x2 marginals
+        prob = make_problem(np.full((2, 2), np.log(4.0)), [0.5, 0.5], [0.5, 0.5])
+        plan, potentials, report = sinkhorn_solve(prob, SinkhornConfig(penalty=1.0))
+        assert report.solved and report.iterations == 0
+        np.testing.assert_array_equal(potentials.phi, 0.0)
+        np.testing.assert_allclose(plan, 0.25, rtol=0, atol=1e-15)
+
+    def test_one_plan_per_iteration(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(1)
+            return _plan(*args)
+
+        monkeypatch.setattr(otsolve.sinkhorn, "_plan", counted)
+        prob = random_problem(np.random.default_rng(3), 4, 5)
+        for max_iters in (7, 100_000):
+            calls.clear()
+            _, _, report = sinkhorn_solve(prob, SinkhornConfig(penalty=0.1, max_iters=max_iters))
+            assert len(calls) == report.iterations + 1
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             SinkhornConfig(penalty=0.0)
-        for name in ("penalty", "tol", "time_limit_s"):
+        for name in ("penalty", "tol", "time_limit_s", "max_iters"):
             with pytest.raises(ValueError):
                 SinkhornConfig(**{name: float("nan")})
