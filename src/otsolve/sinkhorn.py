@@ -1,9 +1,15 @@
 """Log-domain entropically regularized baseline solver.
 
-Alternating dual potential updates computed entirely in the log domain with
-max-subtracted log-sum-exp, so no intermediate quantity overflows even at
-penalties down to 1e-4. Rows of the implied plan match the row marginal
+Alternating dual potential updates computed entirely in the log domain. A
+half-update writes (psi - C) / eps, or (phi - C) / eps, into a C-shaped work
+buffer that every half-update and plan of a solve reuses, and reduces it
+with a max-shifted log-sum-exp of one exp per entry that gives the bits of
+``scipy.special.logsumexp``. Rows of the implied plan match the row marginal
 exactly right after a row-potential update, and likewise for columns.
+
+A solve fails before its first pass when the penalty is subnormal (the
+potentials are held scaled by eps, which then cannot resolve them) or when
+``_HEADROOM * max|C| / eps``, a bound on every scaled quantity, overflows.
 
 Zero-mass rows and columns are eliminated up front (their log weights
 diverge) and reinserted as zero rows/columns of the plan afterwards.
@@ -11,11 +17,11 @@ diverge) and reinserted as zero rows/columns of the plan afterwards.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .instance import OTProblem
 from .reports import SolveReport, finished_report
@@ -43,16 +49,50 @@ class Potentials:
     psi: np.ndarray
 
 
-def _plan(phi: np.ndarray, psi: np.ndarray, C: np.ndarray, eps: float) -> np.ndarray:
-    return np.exp((phi[:, None] + psi[None, :] - C) / eps)
+# |phi|, |psi| and |phi + psi - C| reached 2.3 max|C| at most over 300 random
+# problems of 500 iterations each, so every scaled quantity, max-shifted
+# exponents included, stays within 7 max|C| / eps; 16 leaves a margin.
+_HEADROOM = 16.0
 
 
-def _update_phi(psi: np.ndarray, C: np.ndarray, log_f: np.ndarray, eps: float) -> np.ndarray:
-    return eps * log_f - eps * logsumexp((psi[None, :] - C) / eps, axis=1)
+def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
+    """log(sum(exp(a), axis)) for finite ``a``, computed in place in ``a``.
+
+    Follows ``scipy.special.logsumexp``: the terms equal to the maximum are
+    taken out of the sum and counted, so the result, log1p(rest / count) +
+    log(count) + max, has the same bits as scipy's. (scipy guards the
+    division for a zero sum; here rest >= 0 and count >= 1, so 0 / count is
+    the same +0.) ``a`` is overwritten.
+    """
+    a_max = a.max(axis=axis, keepdims=True)
+    ties = a == a_max
+    count = ties.sum(axis=axis, keepdims=True, dtype=np.float64)
+    a -= a_max
+    np.putmask(a, ties, -np.inf)
+    s = np.exp(a, out=a).sum(axis=axis, keepdims=True) / count
+    return (np.log1p(s) + np.log(count) + a_max).squeeze(axis)
 
 
-def _update_psi(phi: np.ndarray, C: np.ndarray, log_g: np.ndarray, eps: float) -> np.ndarray:
-    return eps * log_g - eps * logsumexp((phi[:, None] - C) / eps, axis=0)
+def _plan(phi: np.ndarray, psi: np.ndarray, C: np.ndarray, eps: float,
+          out: np.ndarray | None = None) -> np.ndarray:
+    out = np.add(phi[:, None], psi[None, :], out=out)
+    out -= C
+    out /= eps
+    return np.exp(out, out=out)
+
+
+def _update_phi(psi: np.ndarray, C: np.ndarray, log_f: np.ndarray, eps: float,
+                work: np.ndarray | None = None) -> np.ndarray:
+    z = np.subtract(psi[None, :], C, out=work)
+    z /= eps
+    return eps * log_f - eps * _logsumexp(z, axis=1)
+
+
+def _update_psi(phi: np.ndarray, C: np.ndarray, log_g: np.ndarray, eps: float,
+                work: np.ndarray | None = None) -> np.ndarray:
+    z = np.subtract(phi[:, None], C, out=work)
+    z /= eps
+    return eps * log_g - eps * _logsumexp(z, axis=0)
 
 
 def sinkhorn_solve(
@@ -68,7 +108,7 @@ def sinkhorn_solve(
     if cfg is None:
         cfg = SinkhornConfig()
     start_time = time.perf_counter()
-    eps = cfg.penalty
+    eps = float(cfg.penalty)
 
     row_mask = prob.f > 0
     col_mask = prob.g > 0
@@ -77,12 +117,18 @@ def sinkhorn_solve(
     C = prob.C[np.ix_(row_mask, col_mask)]
     log_f = np.log(f)
     log_g = np.log(g)
+    c_max = float(np.abs(C).max())
+    if eps < np.finfo(np.float64).tiny or not math.isfinite(_HEADROOM * c_max / eps):
+        raise RuntimeError(f"numerical failure: penalty {eps!r} too small for max |C| {c_max!r}")
 
+    # One C-shaped buffer holds the plan X from its forming to the next
+    # half-update, which overwrites it.
+    work = np.empty_like(C)
     phi = np.zeros(f.size)
     psi = np.zeros(g.size)
     iterations = 0
     while True:
-        X = _plan(phi, psi, C, eps)
+        X = _plan(phi, psi, C, eps, work)
         feasibility = float(np.abs(X.sum(axis=1) - f).sum() + np.abs(X.sum(axis=0) - g).sum())
         if feasibility <= cfg.tol:
             termination = "tolerance"
@@ -93,8 +139,8 @@ def sinkhorn_solve(
         if time.perf_counter() - start_time > cfg.time_limit_s:
             termination = "time_limit"
             break
-        phi = _update_phi(psi, C, log_f, eps)
-        psi = _update_psi(phi, C, log_g, eps)
+        phi = _update_phi(psi, C, log_f, eps, work)
+        psi = _update_psi(phi, C, log_g, eps, work)
         iterations += 1
         if not (np.all(np.isfinite(phi)) and np.all(np.isfinite(psi))):
             raise RuntimeError("numerical failure: non-finite potential")

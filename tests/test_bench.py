@@ -140,8 +140,8 @@ class TestRunBench:
         assert "pdot" in payload["groups"]
 
     def test_failing_cell_recorded(self, tmp_path):
-        # a penalty this small makes the Sinkhorn potentials non-finite; the
-        # pdot cell before it must survive, and both summaries stay valid
+        # a penalty this small overflows the scaled cost, so the Sinkhorn cell
+        # fails; the pdot cell before it must survive, and both summaries stay valid
         path = tmp_path / "tiny.txt"
         path.write_text("2 2\ncost explicit\n1 2\n2 1\n0.5 0.5\n0.5 0.5\n")
         summary = run_bench([path], methods_csv="pdot,sinkhorn:1e-320", time_limit_s=100.0)
@@ -152,7 +152,9 @@ class TestRunBench:
         assert not failed.solved
         assert failed.termination_reason == "numerical_failure"
         assert failed.duality_gap is None and failed.rounded_objective is None
-        assert summary.failed == [f"{path} {label}: numerical failure: non-finite potential"]
+        assert summary.failed == [
+            f"{path} {label}: numerical failure: penalty 1e-320 too small for max |C| 2.0"
+        ]
         group = summary.groups[label]
         assert group["geomean_gap"] is None and group["solved"] == 0
         assert group["sgm10_time"] == pytest.approx(100.0, rel=1e-12)  # counted at the limit

@@ -151,7 +151,7 @@ class TestSolve:
         assert capsys.readouterr().err == "error: Unable to allocate 233. TiB\n"
 
     def test_solver_failure_errors(self, tmp_path, capsys):
-        # a penalty this small makes the Sinkhorn potentials non-finite
+        # a penalty this small overflows the scaled cost
         path = tmp_path / "tiny.txt"
         path.write_text("2 2\ncost explicit\n1 2\n2 1\n0.5 0.5\n0.5 0.5\n")
         rc = main([
@@ -207,6 +207,7 @@ class TestBench:
         assert "pdot" in capsys.readouterr().out
         assert len(summary_csv.read_text().strip().splitlines()) == 5
 
+    @pytest.mark.filterwarnings("error")
     def test_failing_cell_keeps_the_sweep(self, tmp_path, capsys):
         inst_dir = tmp_path / "instances"
         inst_dir.mkdir()
@@ -220,7 +221,8 @@ class TestBench:
         ])
         assert rc == 0
         [err] = capsys.readouterr().err.splitlines()
-        assert err == f"failed: {path} sinkhorn(1e-320): numerical failure: non-finite potential"
+        assert err == (f"failed: {path} sinkhorn(1e-320): "
+                       "numerical failure: penalty 1e-320 too small for max |C| 2.0")
         payload = json.loads(summary_json.read_text())
         pdot, sinkhorn = (payload["groups"][c["method"]] for c in payload["cells"])
         assert pdot["solved"] == 1

@@ -1,9 +1,19 @@
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy.special import logsumexp
 
 import otsolve.sinkhorn
 from otsolve import SinkhornConfig, sinkhorn_solve
-from otsolve.sinkhorn import _plan, _update_phi, _update_psi
+from otsolve.sinkhorn import _logsumexp, _plan, _update_phi, _update_psi
 
 from _helpers import make_problem, random_problem
 
@@ -22,7 +32,69 @@ def naive_sinkhorn(C, f, g, eps, tol, max_iters=100_000):
     raise AssertionError("naive reference did not converge")
 
 
+def scipy_sinkhorn(prob, eps, tol, max_iters):
+    """Reference: the log-domain loop with scipy.special.logsumexp half-updates."""
+    rows, cols = prob.f > 0, prob.g > 0
+    C, f, g = prob.C[np.ix_(rows, cols)], prob.f[rows], prob.g[cols]
+    phi, psi = np.zeros(f.size), np.zeros(g.size)
+    iterations = 0
+    while True:
+        X = np.exp((phi[:, None] + psi[None, :] - C) / eps)
+        err = np.abs(X.sum(axis=1) - f).sum() + np.abs(X.sum(axis=0) - g).sum()
+        if err <= tol or iterations == max_iters:
+            break
+        phi = eps * np.log(f) - eps * logsumexp((psi[None, :] - C) / eps, axis=1)
+        psi = eps * np.log(g) - eps * logsumexp((phi[:, None] - C) / eps, axis=0)
+        iterations += 1
+    plan = np.zeros(prob.C.shape)
+    plan[np.ix_(rows, cols)] = X
+    phi_full, psi_full = np.zeros(prob.m), np.zeros(prob.n)
+    phi_full[rows], psi_full[cols] = phi, psi
+    return plan, phi_full, psi_full, iterations
+
+
+@st.composite
+def lse_inputs(draw):
+    shape = (draw(st.integers(1, 40)), draw(st.integers(1, 40)))
+    # integer-valued entries make maxima tie
+    entry = st.one_of(st.integers(-20, 20).map(float), st.floats(-20, 20))
+    scale = draw(st.floats(1e-3, 1e3))
+    return draw(arrays(np.float64, shape, elements=entry)) * scale, draw(st.sampled_from([0, 1]))
+
+
+class TestLogSumExp:
+    @given(lse_inputs())
+    def test_same_bits_as_scipy(self, case):
+        a, axis = case
+        expected = logsumexp(a, axis=axis)
+        got = _logsumexp(a.copy(), axis)
+        assert got.shape == expected.shape
+        assert np.array_equal(got, expected)
+
+
 class TestSinkhornSolve:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_same_bits_as_scipy_half_updates(self, seed):
+        rng = np.random.default_rng(seed)
+        m, n = (int(x) for x in rng.integers(1, 12, 2))
+        C = rng.random((m, n))
+        if seed % 3 == 0:
+            C = np.round(C, 1)  # ties in the log-sum-exp maxima
+        f, g = rng.random(m) + 0.05, rng.random(n) + 0.05
+        if seed % 2 == 0:  # zero-mass rows and columns
+            f[rng.random(m) < 0.4] = 0.0
+            g[rng.random(n) < 0.4] = 0.0
+            f[0] = g[-1] = 0.5
+        prob = make_problem(C, f, g)
+        eps = float(10.0 ** rng.uniform(-2.5, -0.5))
+        cfg = SinkhornConfig(penalty=eps, tol=1e-9, max_iters=5000)
+        plan, potentials, report = sinkhorn_solve(prob, cfg)
+        ref_plan, ref_phi, ref_psi, ref_iterations = scipy_sinkhorn(prob, eps, 1e-9, 5000)
+        assert report.iterations == ref_iterations
+        assert np.array_equal(plan, ref_plan)
+        assert np.array_equal(potentials.phi, ref_phi)
+        assert np.array_equal(potentials.psi, ref_psi)
+
     def test_zero_cost_gives_product_coupling(self):
         rng = np.random.default_rng(0)
         prob = make_problem(np.zeros((3, 4)), rng.random(3) + 0.1, rng.random(4) + 0.1)
@@ -140,9 +212,47 @@ class TestSinkhornSolve:
             _, _, report = sinkhorn_solve(prob, SinkhornConfig(penalty=0.1, max_iters=max_iters))
             assert len(calls) == report.iterations + 1
 
+    @pytest.mark.parametrize("C", [
+        [[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]],  # used to run to max_iters
+        [[1.0, 2.0], [2.0, 1.0]],  # used to fail after overflow warnings
+        np.zeros((3, 3)),  # finite scaled cost, but a subnormal penalty
+    ])
+    def test_overflowing_penalty_fails_fast(self, C, monkeypatch):
+        def no_pass(*args):
+            raise AssertionError("a pass was started")
+
+        monkeypatch.setattr(otsolve.sinkhorn, "_plan", no_pass)
+        n = len(C)
+        prob = make_problem(C, np.ones(n), np.ones(n))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(RuntimeError, match=r"^numerical failure: penalty 1e-320 "):
+                sinkhorn_solve(prob, SinkhornConfig(penalty=1e-320, max_iters=2000))
+
+    def test_smallest_accepted_penalty_stays_finite(self):
+        rng = np.random.default_rng(7)
+        prob = random_problem(rng, 4, 5)
+        tiny = make_problem(prob.C * 1e-300, prob.f, prob.g)
+        c_max = float(np.abs(prob.C).max())
+        for p, eps in ((prob, 32.0 * c_max / np.finfo(np.float64).max),
+                       (tiny, float(np.finfo(np.float64).tiny))):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                plan, potentials, _ = sinkhorn_solve(p, SinkhornConfig(penalty=eps, max_iters=50))
+            assert np.all(np.isfinite(plan))
+            assert np.all(np.isfinite(potentials.phi)) and np.all(np.isfinite(potentials.psi))
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             SinkhornConfig(penalty=0.0)
         for name in ("penalty", "tol", "time_limit_s", "max_iters"):
             with pytest.raises(ValueError):
                 SinkhornConfig(**{name: float("nan")})
+
+
+def test_package_import_loads_no_scipy():
+    src = Path(otsolve.__file__).resolve().parents[1]
+    code = "import sys, otsolve; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": str(src)}).stdout
+    assert out.strip() == "[]"
