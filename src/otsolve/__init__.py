@@ -14,16 +14,9 @@ from .instance import (
     save_instance,
     synth_instance,
 )
-from .operator import (
-    OTShape,
-    apply_A,
-    apply_At,
-    materialize_A,
-    operator_norm,
-    power_iteration_norm,
-)
+from .operator import apply_A, apply_At
 from .kkt import Iterate, kkt_error
-from .rounding import round_to_feasible, rounding_bound_check
+from .rounding import round_to_feasible
 from .pdhg import (
     FIXED_BETA,
     RestartRecord,
@@ -36,13 +29,6 @@ from .pdhg import (
     stepsize_bound,
 )
 from .sinkhorn import SinkhornConfig, sinkhorn_solve
-from .theory import (
-    check_identification,
-    data_precision,
-    partition_and_delta,
-    tu_submatrix_check,
-)
-from .oracle import exact_oracle, optimal_basis_duals, spanning_tree_count
 from .reports import SolveReport
 from .bench import geomean_gap, run_bench, sgm10
 

@@ -1,4 +1,4 @@
-"""Command-line front end: solve, gen, bench, oracle."""
+"""Command-line front end: solve, gen, bench."""
 
 from __future__ import annotations
 
@@ -15,7 +15,6 @@ from .instance import (
     load_instance,
     save_instance,
 )
-from .oracle import exact_oracle
 from .pdhg import ADAPTIVE, FIXED_BETA
 
 
@@ -52,9 +51,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--time-limit", type=float)
     p_bench.add_argument("--deterministic", action="store_true",
                          help="byte-stable summaries (wall times reported as 0.0)")
-
-    p_oracle = sub.add_parser("oracle", help="exact objective of a tiny instance")
-    p_oracle.add_argument("--instance", required=True)
     return parser
 
 
@@ -105,21 +101,9 @@ def _cmd_bench(args) -> int:
     return 0
 
 
-def _cmd_oracle(args) -> int:
-    prob = load_instance(args.instance)
-    objective, _ = exact_oracle(prob)
-    print(f"objective {objective!r}")
-    return 0
-
-
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    handlers = {
-        "solve": _cmd_solve,
-        "gen": _cmd_gen,
-        "bench": _cmd_bench,
-        "oracle": _cmd_oracle,
-    }
+    handlers = {"solve": _cmd_solve, "gen": _cmd_gen, "bench": _cmd_bench}
     try:
         return handlers[args.command](args)
     except (InstanceError, OSError, ValueError, RuntimeError, MemoryError) as exc:

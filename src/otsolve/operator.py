@@ -3,8 +3,8 @@
 The equality constraints of the transport LP stack the row sums and column
 sums of the plan. Applying the constraint matrix therefore never requires
 building it: the forward map is ``X -> (X @ 1, X.T @ 1)`` and the adjoint is
-``(p, q) -> p 1^T + 1 q^T``. A dense realization exists purely as a test
-oracle behind a size guard.
+``(p, q) -> p 1^T + 1 q^T``. The solver never forms the dense matrix; the
+tests build it to check these two maps against.
 
 Plans are vectorized row-major (``X.ravel()``), matching the flattening used
 for grid images. All reductions go through numpy's pairwise summation, which
@@ -14,23 +14,7 @@ reproducible in deterministic mode.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-
-MATERIALIZE_LIMIT = 10_000
-
-
-@dataclass(frozen=True)
-class OTShape:
-    """Plan dimensions (m rows, n columns)."""
-
-    m: int
-    n: int
-
-    def __post_init__(self):
-        if self.m < 1 or self.n < 1:
-            raise ValueError("plan dimensions must be positive")
 
 
 def apply_A(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -41,49 +25,3 @@ def apply_A(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def apply_At(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Adjoint of the constraint map: entry (i, j) is p_i + q_j."""
     return p[:, None] + q[None, :]
-
-
-def materialize_A(shape: OTShape) -> np.ndarray:
-    """Dense (m+n) x (mn) constraint matrix acting on row-major vec(X).
-
-    Test oracle only; guarded so solver-scale shapes cannot materialize it.
-    """
-    m, n = shape.m, shape.n
-    if m * n > MATERIALIZE_LIMIT:
-        raise ValueError(f"refusing to materialize A with mn = {m * n} > {MATERIALIZE_LIMIT}")
-    top = np.kron(np.eye(m), np.ones((1, n)))
-    bottom = np.kron(np.ones((1, m)), np.eye(n))
-    return np.vstack([top, bottom])
-
-
-def operator_norm(shape: OTShape) -> float:
-    """Spectral norm of the constraint matrix, sqrt(m + n) in closed form."""
-    return float(np.sqrt(shape.m + shape.n))
-
-
-def power_iteration_norm(
-    shape: OTShape,
-    max_iters: int = 500,
-    tol: float = 1e-12,
-    seed: int = 0,
-) -> float:
-    """Estimate the spectral norm by power iteration on the normal map.
-
-    Runs matrix-free via apply_A/apply_At and must agree with the closed
-    form; it exists so the closed form can be cross-checked in tests.
-    """
-    m, n = shape.m, shape.n
-    rng = np.random.default_rng(seed)
-    X = rng.standard_normal((m, n))
-    X /= np.linalg.norm(X)
-    sigma = 0.0
-    for _ in range(max_iters):
-        rows, cols = apply_A(X)
-        Y = apply_At(rows, cols)  # A^T A applied to vec(X)
-        norm_y = np.linalg.norm(Y)
-        sigma_new = float(np.sqrt(norm_y))
-        X = Y / norm_y
-        if abs(sigma_new - sigma) <= tol * max(1.0, sigma_new):
-            return sigma_new
-        sigma = sigma_new
-    return sigma

@@ -39,12 +39,3 @@ def round_to_feasible(prob: OTProblem, X: np.ndarray) -> np.ndarray:
         return X_tmp
     return X_tmp + np.outer(err_r, err_c) / total
 
-
-def rounding_bound_check(prob: OTProblem, X: np.ndarray, X_feas: np.ndarray) -> bool:
-    """Check |X_feas - X|_1 <= 2 (|f - X 1|_1 + |g - X^T 1|_1)."""
-    lhs = float(np.abs(X_feas - X).sum())
-    rhs = 2.0 * (
-        float(np.abs(prob.f - X.sum(axis=1)).sum())
-        + float(np.abs(prob.g - X.sum(axis=0)).sum())
-    )
-    return lhs <= rhs + 1e-12 * (1.0 + rhs)

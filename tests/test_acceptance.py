@@ -14,23 +14,15 @@ from scipy.optimize import linprog
 from otsolve import (
     FIXED_BETA,
     Iterate,
-    OTShape,
     SolverConfig,
     SinkhornConfig,
     apply_A,
     apply_At,
-    check_identification,
     default_stepsize,
-    exact_oracle,
     geomean_gap,
     grid_problem,
-    materialize_A,
-    operator_norm,
-    partition_and_delta,
     pdhg_step,
-    power_iteration_norm,
     round_to_feasible,
-    rounding_bound_check,
     sgm10,
     sinkhorn_solve,
     solve,
@@ -38,6 +30,15 @@ from otsolve import (
 from otsolve.cli import main as cli_main
 
 from _helpers import random_problem
+from _oracles import (
+    check_identification,
+    exact_oracle,
+    materialize_A,
+    partition_and_delta,
+    power_iteration_norm,
+    rounding_bound_check,
+    tu_submatrix_check,
+)
 
 SCALE_CLASSES = ("shapes", "cauchy_like")
 SCALE_NORMS = ("l1", "l2", "linf")
@@ -90,7 +91,7 @@ def identification_runs():
     margin of at least 0.01.
     """
     rng = np.random.default_rng(2025)
-    A = materialize_A(OTShape(5, 5))
+    A = materialize_A(5, 5)
     runs = []
     while len(runs) < 20:
         prob = random_problem(rng, 5, 5, margin=0.2)
@@ -112,7 +113,7 @@ def identification_runs():
         _, report = solve(prob, cfg, on_restart=records.append)
         assert report.solved
         # records[0] is the starting point; the restart points follow it
-        flags = [check_identification(part, r.point, tol=1e-9) for r in records[1:]]
+        flags = [check_identification(prob, part, r.point, tol=1e-9) for r in records[1:]]
         runs.append((prob, part, report, flags))
     return runs
 
@@ -123,7 +124,7 @@ class TestCriterion01OperatorOracle:
         t0 = time.perf_counter()
         for m in range(1, 7):
             for n in range(1, 7):
-                A = materialize_A(OTShape(m, n))
+                A = materialize_A(m, n)
                 for _ in range(100):
                     X = rng.standard_normal((m, n))
                     rows, cols = apply_A(X)
@@ -141,7 +142,7 @@ class TestCriterion02OperatorNorm:
     def test_power_iteration_matches_closed_form(self):
         t0 = time.perf_counter()
         for m, n in [(2, 2), (3, 5), (8, 8), (16, 16)]:
-            A = materialize_A(OTShape(m, n))
+            A = materialize_A(m, n)
             # independent dense power iteration on A^T A
             rng = np.random.default_rng(m * 100 + n)
             v = rng.standard_normal(m * n)
@@ -155,8 +156,8 @@ class TestCriterion02OperatorNorm:
                 if abs(sigma_new - sigma) <= 1e-13 * sigma_new:
                     break
                 sigma = sigma_new
-            assert abs(sigma_new - operator_norm(OTShape(m, n))) <= 1e-6
-            assert abs(power_iteration_norm(OTShape(m, n)) - np.sqrt(m + n)) <= 1e-6
+            assert abs(sigma_new - np.sqrt(m + n)) <= 1e-6
+            assert abs(power_iteration_norm(m, n) - np.sqrt(m + n)) <= 1e-6
         elapsed = time.perf_counter() - t0
         assert elapsed < 5.0
         report_pass(2, f"four shapes agree with sqrt(m+n) to 1e-6 in {elapsed:.2f}s")
@@ -164,10 +165,8 @@ class TestCriterion02OperatorNorm:
 
 class TestCriterion03TotallyUnimodular:
     def test_500_random_submatrices(self):
-        from otsolve import tu_submatrix_check
-
         t0 = time.perf_counter()
-        assert tu_submatrix_check(OTShape(4, 4), trials=500, seed=7)
+        assert tu_submatrix_check(4, 4, trials=500, seed=7)
         elapsed = time.perf_counter() - t0
         assert elapsed < 10.0
         report_pass(3, f"500 nonsingular submatrices up to 8x8 in {elapsed:.2f}s")
@@ -181,7 +180,7 @@ class TestCriterion04VectorizationEquivalence:
             m = int(rng.integers(1, 6))
             n = int(rng.integers(1, 6))
             prob = random_problem(rng, m, n)
-            A = materialize_A(OTShape(m, n))
+            A = materialize_A(m, n)
             c = prob.C.ravel()
             b = np.concatenate([prob.f, prob.g])
             eta = default_stepsize(prob)

@@ -11,11 +11,14 @@ from otsolve import (
     SolverConfig,
     geomean_gap,
     grid_problem,
+    load_instance,
     run_bench,
     save_instance,
     sgm10,
 )
 from otsolve.bench import parse_methods, write_summary_csv, write_summary_json
+
+from _oracles import exact_oracle
 
 
 class TestSGM10:
@@ -224,8 +227,6 @@ class TestRunBench:
         save_instance(grid_problem("whitenoise", 2, "l2", seed=9), path)
         summary = run_bench([path], methods_csv="pdot", tol=1e-6)
         report = summary.cells[0].report
-        from otsolve import exact_oracle, load_instance
-
         opt, _ = exact_oracle(load_instance(path))
         assert report.rounded_objective >= opt - 1e-9
         assert report.rounded_objective == pytest.approx(opt, abs=1e-4)

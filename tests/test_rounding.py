@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from otsolve import round_to_feasible, rounding_bound_check
+from otsolve import round_to_feasible
 
 from _helpers import make_problem, random_problem
+from _oracles import rounding_bound_check
 
 
 def assert_feasible(prob, X, atol=1e-12):

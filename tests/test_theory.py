@@ -4,18 +4,16 @@ import math
 import numpy as np
 import pytest
 
-from otsolve import (
-    OTShape,
+from _helpers import make_problem, random_problem, two_by_two_optimal
+from _oracles import (
     check_identification,
     data_precision,
+    exact_oracle,
     materialize_A,
     optimal_basis_duals,
-    exact_oracle,
     partition_and_delta,
     tu_submatrix_check,
 )
-
-from _helpers import make_problem, random_problem, two_by_two_optimal
 
 
 class TestPartition:
@@ -83,39 +81,39 @@ class TestIdentification:
     def test_reference_optimum_identifies(self):
         prob, it = two_by_two_optimal()
         part = partition_and_delta(prob, it.X, it.p, it.q)
-        assert check_identification(part, it, tol=1e-9)
+        assert check_identification(prob, part, it, tol=1e-9)
 
     def test_mass_on_N_cell_fails(self):
         prob, it = two_by_two_optimal()
         part = partition_and_delta(prob, it.X, it.p, it.q)
         bad = it.copy()
         bad.X[0, 1] = 1e-8  # ten times the tolerance
-        assert not check_identification(part, bad, tol=1e-9)
+        assert not check_identification(prob, part, bad, tol=1e-9)
 
     def test_vanished_support_fails(self):
         prob, it = two_by_two_optimal()
         part = partition_and_delta(prob, it.X, it.p, it.q)
         bad = it.copy()
         bad.X[0, 0] = 0.0
-        assert not check_identification(part, bad, tol=1e-9)
+        assert not check_identification(prob, part, bad, tol=1e-9)
 
     def test_shrunk_reduced_cost_fails(self):
         prob, it = two_by_two_optimal()
         part = partition_and_delta(prob, it.X, it.p, it.q)
         bad = it.copy()
         bad.p = np.array([1.0, 1.0])  # reduced costs on N drop to 0
-        assert not check_identification(part, bad, tol=1e-9)
+        assert not check_identification(prob, part, bad, tol=1e-9)
 
 
 class TestTotallyUnimodular:
     def test_one_by_one(self):
-        A = materialize_A(OTShape(1, 1))
+        A = materialize_A(1, 1)
         sub = A[:1, :1]
         np.testing.assert_array_equal(np.linalg.inv(sub), [[1.0]])
-        assert tu_submatrix_check(OTShape(1, 1), trials=10, seed=0)
+        assert tu_submatrix_check(1, 1, trials=10, seed=0)
 
     def test_exhaustive_3x3_submatrices(self):
-        A = materialize_A(OTShape(2, 2))
+        A = materialize_A(2, 2)
         checked = 0
         for rows in itertools.combinations(range(4), 3):
             for cols in itertools.combinations(range(4), 3):
@@ -132,7 +130,7 @@ class TestTotallyUnimodular:
         assert checked > 0
 
     def test_randomized_3x4(self):
-        assert tu_submatrix_check(OTShape(3, 4), trials=200, seed=123)
+        assert tu_submatrix_check(3, 4, trials=200, seed=123)
 
 
 class TestDataPrecision:
