@@ -2,7 +2,6 @@
 
 from .instance import (
     CostMatrix,
-    GridImage,
     InstanceError,
     InstanceFormatError,
     Marginal,
@@ -10,24 +9,12 @@ from .instance import (
     grid_cost,
     grid_problem,
     load_instance,
-    marginal_from_image,
     save_instance,
     synth_instance,
 )
-from .operator import apply_A, apply_At
 from .kkt import Iterate, kkt_error
 from .rounding import round_to_feasible
-from .pdhg import (
-    FIXED_BETA,
-    RestartRecord,
-    SolverConfig,
-    default_stepsize,
-    pdhg_step,
-    primal_weight_update,
-    should_restart,
-    solve,
-    stepsize_bound,
-)
+from .pdhg import RestartRecord, SolverConfig, solve
 from .sinkhorn import SinkhornConfig, sinkhorn_solve
 from .reports import SolveReport
 from .bench import geomean_gap, run_bench, sgm10

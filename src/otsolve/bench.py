@@ -107,14 +107,15 @@ def run_bench(instance_paths, methods_csv: str = "pdot", tol: float | None = Non
     """Run every (instance, method) cell and aggregate per-method metrics.
 
     ``tol`` and ``time_limit_s`` left as None take each method's config
-    default, and ``deterministic`` writes every wall time as 0.0. Unreadable
-    or malformed instance files are recorded in ``missing`` and skipped. A
-    solver ``RuntimeError`` is recorded in ``failed`` and its cell kept as
-    unsolved with ``termination_reason="numerical_failure"`` and no objective
-    or gap. Per the reporting protocol, every cell's objective and gap come
-    from the rounded feasible plan, unsolved cells enter SGM10 at their
-    method's time limit, and the geometric-mean gap is taken over the cells
-    that have a gap (``None`` if none do).
+    default, and ``deterministic`` writes every wall time as 0.0. An instance
+    file that is unreadable, malformed or too large to build is recorded in
+    ``missing`` and skipped. A solver ``RuntimeError`` is recorded in
+    ``failed`` and its cell kept as unsolved with
+    ``termination_reason="numerical_failure"`` and no objective or gap. Per
+    the reporting protocol, every cell's objective and gap come from the
+    rounded feasible plan, unsolved cells enter SGM10 at their method's time
+    limit, and the geometric-mean gap is taken over the cells that have a gap
+    (``None`` if none do).
     """
     # Built before any solve, so a bad setting or a repeated method fails
     # before the sweep starts.
@@ -130,7 +131,7 @@ def run_bench(instance_paths, methods_csv: str = "pdot", tol: float | None = Non
         name = str(path)
         try:
             prob = load_instance(path)
-        except (OSError, InstanceError) as exc:
+        except (OSError, InstanceError, MemoryError) as exc:
             summary.missing.append(f"{name}: {exc}")
             continue
         for label, (spec, cfg) in methods.items():
@@ -164,22 +165,8 @@ def run_bench(instance_paths, methods_csv: str = "pdot", tol: float | None = Non
 
 
 def write_summary_json(summary: BenchSummary, path) -> None:
-    payload = {
-        "cells": [
-            {
-                "instance": c.instance,
-                "method": c.method,
-                "penalty": c.penalty,
-                "report": asdict(c.report),
-            }
-            for c in summary.cells
-        ],
-        "groups": summary.groups,
-        "missing": summary.missing,
-        "failed": summary.failed,
-    }
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(asdict(summary), fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 

@@ -27,7 +27,7 @@ MARGINAL_SUM_TOL = 1e-12
 
 
 class InstanceError(ValueError):
-    """Invalid instance data: negative entries, degenerate image, bad shapes."""
+    """Invalid instance data: negative entries, zero mass, bad shapes."""
 
 
 class InstanceFormatError(InstanceError):
@@ -39,28 +39,6 @@ def _as_float_array(values, name: str) -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise InstanceError(f"non-finite {name} entry")
     return arr
-
-
-@dataclass(eq=False)
-class GridImage:
-    """Square grid of non-negative intensities with at least one positive pixel."""
-
-    pixels: np.ndarray
-
-    def __post_init__(self):
-        self.pixels = _as_float_array(self.pixels, "pixel")
-        if self.pixels.ndim != 2 or self.pixels.shape[0] != self.pixels.shape[1]:
-            raise InstanceError("image must be a square 2-D grid")
-        if self.pixels.shape[0] < 1:
-            raise InstanceError("image resolution must be positive")
-        if np.any(self.pixels < 0):
-            raise InstanceError("negative pixel intensity")
-        if not np.any(self.pixels > 0):
-            raise InstanceError("degenerate image")
-
-    @property
-    def resolution(self) -> int:
-        return self.pixels.shape[0]
 
 
 @dataclass(eq=False)
@@ -154,26 +132,19 @@ class OTProblem:
         return float(np.linalg.norm(self.f) + np.linalg.norm(self.g))
 
 
-def marginal_from_image(img: GridImage) -> Marginal:
-    """Flatten an image row-major and normalize it to a probability vector."""
-    return Marginal(img.pixels.ravel())
-
-
 def grid_coordinates(r: int) -> np.ndarray:
     """(r^2, 2) array of (row, col) coordinates in row-major cell order."""
     idx = np.arange(r * r)
     return np.stack([idx // r, idx % r], axis=1).astype(np.float64)
 
 
-def grid_cost(r: int, norm_kind: str, normalize: bool = False) -> CostMatrix:
+def grid_cost(r: int, norm_kind: str) -> CostMatrix:
     """Pairwise moving cost between cells of an r x r grid.
 
     Entry (i, j) is the distance between the coordinate tuples of cells i and
     j under the requested norm: the sum of absolute coordinate differences
     (l1), the Euclidean distance (l2), or the larger coordinate difference
-    (linf). Costs are raw grid distances by default; ``normalize`` divides by
-    the maximum entry (useful to compare entropic penalties across
-    resolutions) and such costs are serialized explicitly.
+    (linf), in raw grid units.
     """
     if r < 1:
         raise InstanceError("grid resolution must be positive")
@@ -187,8 +158,6 @@ def grid_cost(r: int, norm_kind: str, normalize: bool = False) -> CostMatrix:
         entries = np.sqrt((diff ** 2).sum(axis=2))
     else:
         entries = diff.max(axis=2)
-    if normalize and entries.max() > 0:
-        entries = entries / entries.max()
     return CostMatrix(entries, norm_kind)
 
 
@@ -200,9 +169,9 @@ def _random_rectangle(rng: np.random.Generator, rows: range, cols: range) -> tup
     return r0, r1, c0, c1
 
 
-def _synth_one(kind: str, r: int, rng: np.random.Generator) -> GridImage:
+def _synth_one(kind: str, r: int, rng: np.random.Generator) -> np.ndarray:
     if kind == "whitenoise":
-        return GridImage(rng.random((r, r)))
+        return rng.random((r, r))
     if kind == "shapes":
         # Two disjoint constant-intensity rectangles, one per half of a random
         # horizontal split; disjointness holds by construction.
@@ -211,16 +180,19 @@ def _synth_one(kind: str, r: int, rng: np.random.Generator) -> GridImage:
         for rows in (range(0, split), range(split, r)):
             r0, r1, c0, c1 = _random_rectangle(rng, rows, range(0, r))
             pixels[r0 : r1 + 1, c0 : c1 + 1] = 1.0
-        return GridImage(pixels)
+        return pixels
     # cauchy_like: synth_instance has already rejected any other class
     center = rng.integers(0, r, size=2)
     ii, jj = np.meshgrid(np.arange(r), np.arange(r), indexing="ij")
     d2 = (ii - center[0]) ** 2 + (jj - center[1]) ** 2
-    return GridImage(1.0 / (1.0 + d2.astype(np.float64)))
+    return 1.0 / (1.0 + d2.astype(np.float64))
 
 
-def synth_instance(kind: str, r: int, seed: int) -> tuple[GridImage, GridImage]:
-    """Deterministic pair of synthetic images of the given class."""
+def synth_instance(kind: str, r: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Deterministic pair of r x r non-negative pixel arrays of the given class.
+
+    Every image has a positive pixel, so it flattens to a valid ``Marginal``.
+    """
     if kind not in SYNTH_CLASSES:
         raise InstanceError(f"unknown synthetic class {kind!r}")
     if r < 2:
@@ -230,12 +202,15 @@ def synth_instance(kind: str, r: int, seed: int) -> tuple[GridImage, GridImage]:
 
 
 def grid_problem(kind: str, r: int, norm_kind: str, seed: int) -> OTProblem:
-    """Synthesize a full grid OT instance (two images + grid cost)."""
+    """Synthesize a full grid OT instance (two images + grid cost).
+
+    Each image is flattened row-major into a marginal.
+    """
     src, dst = synth_instance(kind, r, seed)
     return OTProblem(
         cost=grid_cost(r, norm_kind),
-        row_marginal=marginal_from_image(src),
-        col_marginal=marginal_from_image(dst),
+        row_marginal=Marginal(src.ravel()),
+        col_marginal=Marginal(dst.ravel()),
     )
 
 

@@ -7,9 +7,9 @@ building it: the forward map is ``X -> (X @ 1, X.T @ 1)`` and the adjoint is
 tests build it to check these two maps against.
 
 Plans are vectorized row-major (``X.ravel()``), matching the flattening used
-for grid images. All reductions go through numpy's pairwise summation, which
-uses a fixed association order regardless of thread count, so results are
-reproducible in deterministic mode.
+for grid images. These sums use numpy's fixed pairwise order, but the solver's
+dot products and norms call BLAS, which may split long vectors across threads:
+a run is byte-identical only for a fixed BLAS thread count.
 """
 
 from __future__ import annotations

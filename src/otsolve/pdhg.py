@@ -48,6 +48,10 @@ BETA_ARTIFICIAL = 0.36
 
 _STEP_GROWTH = 1.05
 _MAX_HALVINGS = 80
+# Log-space smoothing weight of the primal weight update, and the size below
+# which a displacement or a coupling counts as zero.
+_THETA = 0.5
+_EPS_ZERO = 1e-10
 
 
 @dataclass
@@ -99,7 +103,7 @@ def pdhg_step(prob: OTProblem, it: Iterate, tau: float, sigma: float) -> Iterate
     return Iterate(X_next, p_next, q_next)
 
 
-def stepsize_bound(it: Iterate, it_next: Iterate, omega: float, eps_zero: float = 1e-10) -> float:
+def stepsize_bound(it: Iterate, it_next: Iterate, omega: float) -> float:
     """Largest admissible step-size scale for the displacement pair.
 
     Ratio of the omega-weighted squared displacement norm to twice the
@@ -114,23 +118,17 @@ def stepsize_bound(it: Iterate, it_next: Iterate, omega: float, eps_zero: float 
     ) / omega
     rows, cols = apply_A(dX)
     denom = 2.0 * abs(float(dp @ rows + dq @ cols))
-    if denom <= eps_zero:
+    if denom <= _EPS_ZERO:
         return math.inf
     return numer / denom
 
 
-def primal_weight_update(
-    delta_X: float,
-    delta_pq: float,
-    omega_prev: float,
-    theta: float = 0.5,
-    eps_zero: float = 1e-10,
-) -> float:
+def primal_weight_update(delta_X: float, delta_pq: float, omega_prev: float) -> float:
     """Log-space smoothing of the dual/primal progress ratio into omega."""
     if omega_prev <= 0:
         raise ValueError("omega_prev must be positive")
-    if delta_X > eps_zero and delta_pq > eps_zero:
-        return math.exp(theta * math.log(delta_pq / delta_X) + (1.0 - theta) * math.log(omega_prev))
+    if delta_X > _EPS_ZERO and delta_pq > _EPS_ZERO:
+        return math.exp(_THETA * math.log(delta_pq / delta_X) + (1.0 - _THETA) * math.log(omega_prev))
     return omega_prev
 
 
@@ -197,9 +195,10 @@ def solve(
 ) -> tuple[Iterate, SolveReport]:
     """Run restarted PDHG until the KKT tolerance, iteration, or time limit.
 
-    Returns the final (pre-rounding) iterate together with a report whose
-    objective and duality gap are evaluated on the rounded feasible plan.
-    On a limit, the best evaluated candidate is returned instead of the last.
+    Returns the (pre-rounding) point of lowest KKT error among those
+    evaluated, the one that met the tolerance if any did, together with a
+    report whose objective and duality gap are evaluated on its rounded
+    feasible plan.
 
     The first step uses ``default_stepsize(prob)`` and primal weight 1.
     ``on_restart``, if given, is called with the ``RestartRecord`` of the
@@ -232,18 +231,15 @@ def solve(
     best_kkt = epoch_start_kkt
     total = k = 0  # iterations in all, and since the last restart
 
-    termination = final_kkt = None
-    if epoch_start_kkt <= config.tol:
-        termination, final_kkt = "tolerance", epoch_start_kkt
-
+    # Every exit returns ``best``. A candidate within tol is below best_kkt,
+    # which stays above tol while the loop runs, so it has just become best.
+    termination = "tolerance" if epoch_start_kkt <= config.tol else None
     while termination is None:
         if total >= config.max_iters:
             termination = "iteration_limit"
-            it, final_kkt = best, best_kkt
             break
         if time.perf_counter() - start_time > config.time_limit_s:
             termination = "time_limit"
-            it, final_kkt = best, best_kkt
             break
 
         it, eta = _accepted_step(prob, it, eta, omega, adaptive)
@@ -271,7 +267,6 @@ def solve(
             best = cand.copy()
             best_kkt = cand_kkt
         if cand_kkt <= config.tol:
-            it, final_kkt = cand.copy(), cand_kkt
             termination = "tolerance"
             break
 
@@ -293,9 +288,9 @@ def solve(
         prev_candidate_kkt = cand_kkt
 
     elapsed = time.perf_counter() - start_time
-    return it, finished_report(
-        "pdot", config, prob, round_to_feasible(prob, it.X), it.p, it.q,
-        termination=termination, iterations=total, final_kkt=final_kkt, wall_time_s=elapsed,
+    return best, finished_report(
+        "pdot", config, prob, round_to_feasible(prob, best.X), best.p, best.q,
+        termination=termination, iterations=total, final_kkt=best_kkt, wall_time_s=elapsed,
         restart_lengths=[length for length, _ in history[1:]],
         restart_kkts=[kkt for _, kkt in history],
     )

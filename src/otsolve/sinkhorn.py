@@ -74,22 +74,22 @@ def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
 
 
 def _plan(phi: np.ndarray, psi: np.ndarray, C: np.ndarray, eps: float,
-          out: np.ndarray | None = None) -> np.ndarray:
-    out = np.add(phi[:, None], psi[None, :], out=out)
+          out: np.ndarray) -> np.ndarray:
+    np.add(phi[:, None], psi[None, :], out=out)
     out -= C
     out /= eps
     return np.exp(out, out=out)
 
 
 def _update_phi(psi: np.ndarray, C: np.ndarray, log_f: np.ndarray, eps: float,
-                work: np.ndarray | None = None) -> np.ndarray:
+                work: np.ndarray) -> np.ndarray:
     z = np.subtract(psi[None, :], C, out=work)
     z /= eps
     return eps * log_f - eps * _logsumexp(z, axis=1)
 
 
 def _update_psi(phi: np.ndarray, C: np.ndarray, log_g: np.ndarray, eps: float,
-                work: np.ndarray | None = None) -> np.ndarray:
+                work: np.ndarray) -> np.ndarray:
     z = np.subtract(phi[:, None], C, out=work)
     z /= eps
     return eps * log_g - eps * _logsumexp(z, axis=0)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from otsolve import apply_A, apply_At
+from otsolve.operator import apply_A, apply_At
 
 MATERIALIZE_LIMIT = 10_000
 ORACLE_SIZE_LIMIT = 12

@@ -12,22 +12,19 @@ import pytest
 from scipy.optimize import linprog
 
 from otsolve import (
-    FIXED_BETA,
     Iterate,
     SolverConfig,
     SinkhornConfig,
-    apply_A,
-    apply_At,
-    default_stepsize,
     geomean_gap,
     grid_problem,
-    pdhg_step,
     round_to_feasible,
     sgm10,
     sinkhorn_solve,
     solve,
 )
 from otsolve.cli import main as cli_main
+from otsolve.operator import apply_A, apply_At
+from otsolve.pdhg import FIXED_BETA, default_stepsize, pdhg_step
 
 from _helpers import random_problem
 from _oracles import (

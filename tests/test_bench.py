@@ -125,6 +125,21 @@ class TestRunBench:
         assert len(summary.cells) == 1
         assert len(summary.missing) == 2
 
+    def test_instance_too_large_to_build_listed(self, instance_dir, monkeypatch):
+        # a 128x128 grid file makes grid_cost ask for a 4.3 GB temporary; the
+        # sweep records the MemoryError and goes on
+        real_load = otsolve.bench.load_instance
+
+        def load(path):
+            if path.name == "cl3.txt":
+                raise MemoryError("Unable to allocate 4.00 GiB")
+            return real_load(path)
+
+        monkeypatch.setattr(otsolve.bench, "load_instance", load)
+        summary = run_bench(sorted(instance_dir.glob("*.txt")), methods_csv="pdot", tol=1e-4)
+        assert [c.instance for c in summary.cells] == [str(instance_dir / "wn3.txt")]
+        assert summary.missing == [f"{instance_dir / 'cl3.txt'}: Unable to allocate 4.00 GiB"]
+
     def test_writers(self, instance_dir, tmp_path):
         paths = sorted(instance_dir.glob("*.txt"))
         summary = run_bench(paths, methods_csv="pdot", tol=1e-4)

@@ -5,14 +5,14 @@ import pytest
 
 import otsolve.instance
 from otsolve import (
-    GridImage,
+    CostMatrix,
     InstanceError,
     InstanceFormatError,
     Marginal,
+    OTProblem,
     grid_cost,
     grid_problem,
     load_instance,
-    marginal_from_image,
     save_instance,
     synth_instance,
 )
@@ -22,29 +22,26 @@ from _helpers import make_problem
 
 
 class TestMarginalFromImage:
+    """A pixel grid flattened into a Marginal, as grid_problem builds its marginals."""
+
     def test_single_mass_point(self):
-        m = marginal_from_image(GridImage([[5.0]]))
+        m = Marginal(np.array([[5.0]]).ravel())
         assert m.weights.tolist() == [1.0]
 
     def test_uniform(self):
-        m = marginal_from_image(GridImage([[1.0, 1.0], [1.0, 1.0]]))
+        m = Marginal(np.ones((2, 2)).ravel())
         np.testing.assert_allclose(m.weights, [0.25, 0.25, 0.25, 0.25], rtol=0, atol=0)
 
     def test_direct_normalization(self):
-        m = marginal_from_image(GridImage([[3.0, 1.0], [0.0, 0.0]]))
+        m = Marginal(np.array([[3.0, 1.0], [0.0, 0.0]]).ravel())
         np.testing.assert_allclose(m.weights, [0.75, 0.25, 0.0, 0.0], rtol=0, atol=0)
 
-    def test_all_zero_image_rejected(self):
-        with pytest.raises(InstanceError, match="degenerate image"):
-            GridImage(np.zeros((3, 3)))
-
-    def test_negative_pixel_rejected(self):
-        with pytest.raises(InstanceError, match="negative pixel"):
-            GridImage([[1.0, -0.5], [0.0, 0.0]])
-
-    def test_row_major_flattening(self):
-        m = marginal_from_image(GridImage([[1.0, 0.0], [0.0, 3.0]]))
-        np.testing.assert_allclose(m.weights, [0.25, 0.0, 0.0, 0.75])
+    def test_row_major_flattening(self, monkeypatch):
+        images = (np.array([[1.0, 0.0], [0.0, 3.0]]), np.array([[1.0, 2.0], [0.0, 5.0]]))
+        monkeypatch.setattr(otsolve.instance, "synth_instance", lambda kind, r, seed: images)
+        prob = grid_problem("whitenoise", 2, "l1", seed=0)
+        np.testing.assert_allclose(prob.f, [0.25, 0.0, 0.0, 0.75])
+        np.testing.assert_allclose(prob.g, [0.125, 0.25, 0.0, 0.625])
 
 
 class TestMarginal:
@@ -113,30 +110,25 @@ class TestGridCost:
     def test_max_normalization_off_by_default(self):
         assert grid_cost(3, "l1").entries.max() == 4.0
 
-    def test_max_normalization_flag(self):
-        C = grid_cost(3, "l1", normalize=True).entries
-        assert C.max() == 1.0
-        np.testing.assert_allclose(C * 4.0, grid_cost(3, "l1").entries, atol=1e-15)
-
 
 class TestSynth:
     def test_whitenoise_deterministic(self):
         a1, b1 = synth_instance("whitenoise", 2, seed=1)
         a2, b2 = synth_instance("whitenoise", 2, seed=1)
-        np.testing.assert_array_equal(a1.pixels, a2.pixels)
-        np.testing.assert_array_equal(b1.pixels, b2.pixels)
+        np.testing.assert_array_equal(a1, a2)
+        np.testing.assert_array_equal(b1, b2)
 
     def test_shapes_two_level(self):
         for seed in (0, 3, 9):
             for img in synth_instance("shapes", 8, seed=seed):
-                values = np.unique(img.pixels)
+                values = np.unique(img)
                 positive = values[values > 0]
                 assert positive.size == 1
                 assert set(values.tolist()) <= {0.0, float(positive[0])}
 
     def test_cauchy_center_maximal(self):
         img, _ = synth_instance("cauchy_like", 4, seed=7)
-        flat = np.sort(img.pixels.ravel())
+        flat = np.sort(img.ravel())
         assert flat[-1] == 1.0  # zero distance from the center cell
         assert flat[-2] <= 0.5 + 1e-15  # any other cell is at distance >= 1
 
@@ -171,14 +163,11 @@ class TestFileRoundTrip:
         np.testing.assert_allclose(back.g, prob.g, rtol=0, atol=1e-15)
 
     def test_normalized_grid_cost_round_trips_explicitly(self, tmp_path):
-        # entries no longer match the canonical grid, so they must be
-        # written out in full
-        from otsolve import OTProblem
-
+        # an l2-tagged cost divided by its maximum no longer matches the
+        # canonical grid, so its entries must be written out in full
         prob = grid_problem("cauchy_like", 2, "l2", seed=1)
-        prob = OTProblem(
-            grid_cost(2, "l2", normalize=True), prob.row_marginal, prob.col_marginal
-        )
+        entries = prob.C / prob.C.max()
+        prob = OTProblem(CostMatrix(entries, "l2"), prob.row_marginal, prob.col_marginal)
         path = tmp_path / "norm.txt"
         save_instance(prob, path)
         assert "cost explicit" in path.read_text()

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from otsolve import apply_A, apply_At
+from otsolve.operator import apply_A, apply_At
 
 from _oracles import materialize_A, power_iteration_norm
 

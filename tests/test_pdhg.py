@@ -5,15 +5,13 @@ import numpy as np
 import pytest
 
 import otsolve.pdhg
-from otsolve import (
+from otsolve import Iterate, SolverConfig, kkt_error, solve
+from otsolve.pdhg import (
     FIXED_BETA,
-    Iterate,
-    SolverConfig,
     default_stepsize,
     pdhg_step,
     primal_weight_update,
     should_restart,
-    solve,
     stepsize_bound,
 )
 
@@ -156,14 +154,14 @@ class TestStepSize:
 
 class TestPrimalWeight:
     def test_balanced_ratio(self):
-        assert primal_weight_update(1.0, 4.0, 1.0, theta=0.5) == pytest.approx(2.0, rel=1e-15)
+        assert primal_weight_update(1.0, 4.0, 1.0) == pytest.approx(2.0, rel=1e-15)
 
     def test_below_eps_zero_unchanged(self):
-        assert primal_weight_update(1e-12, 4.0, 3.0, eps_zero=1e-10) == 3.0
-        assert primal_weight_update(4.0, 1e-12, 3.0, eps_zero=1e-10) == 3.0
+        assert primal_weight_update(1e-12, 4.0, 3.0) == 3.0
+        assert primal_weight_update(4.0, 1e-12, 3.0) == 3.0
 
     def test_equal_progress(self):
-        assert primal_weight_update(2.0, 2.0, 1.0, theta=0.5) == pytest.approx(1.0, rel=1e-15)
+        assert primal_weight_update(2.0, 2.0, 1.0) == pytest.approx(1.0, rel=1e-15)
 
 
 def restart_with_kkts(monkeypatch, kkt_current, kkt_average):
@@ -245,6 +243,20 @@ class TestSolve:
         it, report = solve(prob, SolverConfig(tol=1e-6), initial=opt)
         assert report.solved
         assert report.iterations == 0
+
+    @pytest.mark.parametrize("termination, cfg, warm", [
+        ("tolerance", SolverConfig(tol=1e-6), False),
+        ("iteration_limit", SolverConfig(tol=1e-14, max_iters=10), False),
+        ("tolerance", SolverConfig(tol=1e-6), True),  # the start already meets tol
+    ], ids=["tolerance", "iteration_limit", "warm_start_meets_tol"])
+    def test_returns_the_point_the_report_describes(self, termination, cfg, warm):
+        prob, opt = two_by_two_optimal()
+        if not warm:
+            prob = random_problem(np.random.default_rng(8), 4, 4)
+        it, report = solve(prob, cfg, initial=opt if warm else None)
+        assert report.termination_reason == termination
+        assert (report.iterations == 0) == warm
+        assert kkt_error(prob, it) == report.final_relative_kkt
 
     def test_fixed_beta_restart_decay(self):
         rng = np.random.default_rng(5)

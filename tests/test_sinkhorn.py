@@ -127,12 +127,13 @@ class TestSinkhornSolve:
         eps = 0.1
         log_f, log_g = np.log(prob.f), np.log(prob.g)
         psi = np.zeros(4)
+        work = np.empty_like(prob.C)  # shared like the solver's: X lives until the next update
         for _ in range(3):
-            phi = _update_phi(psi, prob.C, log_f, eps)
-            X = _plan(phi, psi, prob.C, eps)
+            phi = _update_phi(psi, prob.C, log_f, eps, work)
+            X = _plan(phi, psi, prob.C, eps, work)
             np.testing.assert_allclose(X.sum(axis=1), prob.f, rtol=0, atol=1e-12)
-            psi = _update_psi(phi, prob.C, log_g, eps)
-            X = _plan(phi, psi, prob.C, eps)
+            psi = _update_psi(phi, prob.C, log_g, eps, work)
+            X = _plan(phi, psi, prob.C, eps, work)
             np.testing.assert_allclose(X.sum(axis=0), prob.g, rtol=0, atol=1e-12)
 
     def test_zero_marginals_eliminated(self):
