@@ -18,7 +18,11 @@ from .operator import apply_A, apply_At
 
 @dataclass(eq=False)
 class Iterate:
-    """Primal plan and the two dual vectors."""
+    """Primal plan and the two dual vectors.
+
+    A value: ``solve`` writes into no iterate, ``initial`` included, and may
+    return ``initial`` itself or one that shares arrays with a restart point.
+    """
 
     X: np.ndarray
     p: np.ndarray
@@ -27,9 +31,6 @@ class Iterate:
     @classmethod
     def zeros(cls, m: int, n: int) -> "Iterate":
         return cls(np.zeros((m, n)), np.zeros(m), np.zeros(n))
-
-    def copy(self) -> "Iterate":
-        return Iterate(self.X.copy(), self.p.copy(), self.q.copy())
 
 
 def kkt_error(prob: OTProblem, it: Iterate) -> float:

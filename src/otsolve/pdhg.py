@@ -135,7 +135,7 @@ def primal_weight_update(delta_X: float, delta_pq: float, omega_prev: float) -> 
 def should_restart(
     config: SolverConfig,
     candidate_kkt: float,
-    epoch_start_kkt: float,
+    epoch_kkt: float,
     prev_candidate_kkt: float,
     k: int,
     total_iterations: int,
@@ -148,11 +148,11 @@ def should_restart(
     ``BETA_ARTIFICIAL`` fraction of all iterations so far.
     """
     if config.restart_mode == FIXED_BETA:
-        return candidate_kkt <= config.beta * epoch_start_kkt
-    if candidate_kkt <= BETA_SUFFICIENT * epoch_start_kkt:
+        return candidate_kkt <= config.beta * epoch_kkt
+    if candidate_kkt <= BETA_SUFFICIENT * epoch_kkt:
         return True
     if (
-        candidate_kkt <= BETA_NECESSARY * epoch_start_kkt
+        candidate_kkt <= BETA_NECESSARY * epoch_kkt
         and candidate_kkt > prev_candidate_kkt
     ):
         return True
@@ -202,38 +202,35 @@ def solve(
 
     The first step uses ``default_stepsize(prob)`` and primal weight 1.
     ``on_restart``, if given, is called with the ``RestartRecord`` of the
-    starting point and then with that of each restart, as they happen; the
-    record's ``point`` is the solver's own restart iterate, to be read only.
+    starting point and then with that of each restart, as they happen.
+    ``solve`` never writes into an iterate, ``initial`` included; the one it
+    returns may be ``initial`` itself or share arrays with a record's ``point``.
     """
     if config is None:
         config = SolverConfig()
     start_time = time.perf_counter()
-    it = initial.copy() if initial is not None else Iterate.zeros(prob.m, prob.n)
+    it = initial if initial is not None else Iterate.zeros(prob.m, prob.n)
     eta, omega = default_stepsize(prob), 1.0
     adaptive = config.restart_mode == ADAPTIVE
     history: list[tuple[int, float]] = []  # (length, kkt) of every record
 
-    def emit(record: RestartRecord) -> None:
+    def emit(record: RestartRecord) -> RestartRecord:
         # The report needs only these two fields. Keeping the records would
         # keep every restart point alive, and memory would grow with restarts.
         history.append((record.length, record.kkt))
         if on_restart is not None:
             on_restart(record)
+        return record
 
-    # Only the running average is modified in place; every step builds a new
-    # iterate, so an epoch's start may share its arrays with ``it``.
-    epoch_start = it
-    epoch_start_kkt = kkt_error(prob, it)
-    emit(RestartRecord(0, 0, epoch_start_kkt, "start", eta, omega, epoch_start))
-    average = it.copy()
-    prev_candidate_kkt = epoch_start_kkt
-    best = it.copy()
-    best_kkt = epoch_start_kkt
-    total = k = 0  # iterations in all, and since the last restart
+    # No iterate is written after it is built, so iterates may share arrays.
+    epoch = emit(RestartRecord(0, 0, kkt_error(prob, it), "start", eta, omega, it))
+    average = best = it
+    prev_candidate_kkt = best_kkt = epoch.kkt
+    total = 0  # iterations in all
 
     # Every exit returns ``best``. A candidate within tol is below best_kkt,
     # which stays above tol while the loop runs, so it has just become best.
-    termination = "tolerance" if epoch_start_kkt <= config.tol else None
+    termination = "tolerance" if epoch.kkt <= config.tol else None
     while termination is None:
         if total >= config.max_iters:
             termination = "iteration_limit"
@@ -244,12 +241,14 @@ def solve(
 
         it, eta = _accepted_step(prob, it, eta, omega, adaptive)
         total += 1
-        k += 1
+        k = total - epoch.iteration  # iterations since the last restart
 
         # Uniform running mean of the inner iterates since the last restart.
-        average.X += (it.X - average.X) / k
-        average.p += (it.p - average.p) / k
-        average.q += (it.q - average.q) / k
+        average = Iterate(
+            average.X + (it.X - average.X) / k,
+            average.p + (it.p - average.p) / k,
+            average.q + (it.q - average.q) / k,
+        )
 
         # A non-finite entry anywhere in the iterate makes its KKT error
         # non-finite, so this one number doubles as the finiteness check.
@@ -264,27 +263,20 @@ def solve(
             cand, cand_kkt, source = average, kkt_avg, "average"
 
         if cand_kkt < best_kkt:
-            best = cand.copy()
-            best_kkt = cand_kkt
+            best, best_kkt = cand, cand_kkt
         if cand_kkt <= config.tol:
             termination = "tolerance"
             break
 
-        if should_restart(config, cand_kkt, epoch_start_kkt, prev_candidate_kkt, k, total):
+        if should_restart(config, cand_kkt, epoch.kkt, prev_candidate_kkt, k, total):
             if adaptive:
-                dX = float(np.linalg.norm(cand.X - epoch_start.X))
-                dpq = float(
-                    np.sqrt(
-                        np.sum((cand.p - epoch_start.p) ** 2)
-                        + np.sum((cand.q - epoch_start.q) ** 2)
-                    )
-                )
+                dX = float(np.linalg.norm(cand.X - epoch.point.X))
+                dpq = float(np.sqrt(
+                    np.sum((cand.p - epoch.point.p) ** 2) + np.sum((cand.q - epoch.point.q) ** 2)
+                ))
                 omega = primal_weight_update(dX, dpq, omega)
-            it = epoch_start = cand.copy()
-            epoch_start_kkt = cand_kkt
-            average = it.copy()
-            emit(RestartRecord(total, k, cand_kkt, source, eta, omega, epoch_start))
-            k = 0
+            it = average = cand
+            epoch = emit(RestartRecord(total, k, cand_kkt, source, eta, omega, cand))
         prev_candidate_kkt = cand_kkt
 
     elapsed = time.perf_counter() - start_time

@@ -37,8 +37,8 @@ class SinkhornConfig:
 
     def __post_init__(self):
         # Written as "not x > 0" so that NaN is rejected too.
-        if not self.penalty > 0:
-            raise ValueError("penalty must be positive")
+        if not 0.0 < self.penalty < math.inf:
+            raise ValueError("penalty must be positive and finite")
         if not self.tol > 0 or not self.max_iters >= 1 or not self.time_limit_s > 0:
             raise ValueError("tol, max_iters and time_limit_s must be positive")
 

@@ -1,12 +1,21 @@
 """Test-wide settings.
 
+BLAS runs on one thread, as in the benchmark (``perfbench/run.py``): a solve's
+bits, and so its iteration path, depend on the BLAS thread count. The
+variables are set before anything imports numpy, which reads them once.
+
 Hypothesis runs derandomized, with examples drawn from a hash of each test,
 so every run of the suite tries the same cases. No deadline: a slow example
 on a loaded machine is not a failure. No example database, so a run reads
 and writes no state between runs.
 """
 
-from hypothesis import settings
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+from hypothesis import settings  # noqa: E402
 
 settings.register_profile("otsolve", derandomize=True, deadline=None, database=None)
 settings.load_profile("otsolve")

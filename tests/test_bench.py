@@ -204,6 +204,15 @@ class TestRunBench:
         with pytest.raises(ValueError):
             run_bench(sorted(instance_dir.glob("*.txt")), methods_csv="pdot,sinkhorn:-1")
 
+    def test_infinite_penalty_fails_before_any_solve(self, instance_dir, monkeypatch):
+        def boom(*args, **kwargs):
+            raise AssertionError("no cell may run before every config is built")
+
+        monkeypatch.setattr(otsolve.bench, "solve", boom)
+        monkeypatch.setattr(otsolve.bench, "sinkhorn_solve", boom)
+        with pytest.raises(ValueError, match="positive and finite"):
+            run_bench(sorted(instance_dir.glob("*.txt")), methods_csv="pdot,sinkhorn:inf")
+
     def test_close_penalties_stay_apart(self, instance_dir):
         paths = [instance_dir / "cl3.txt"]
         summary = run_bench(paths, methods_csv="sinkhorn:0.0010000001,sinkhorn:0.001")

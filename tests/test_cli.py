@@ -161,6 +161,16 @@ class TestSolve:
         assert rc == 1
         assert "error: numerical failure" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("error")
+    def test_infinite_penalty_errors(self, instance_file, tmp_path, capsys):
+        rc = main([
+            "solve", "--instance", str(instance_file), "--method", "sinkhorn",
+            "--penalty", "inf", "--out", str(tmp_path / "r.json"),
+        ])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: penalty must be positive and finite\n"
+        assert not (tmp_path / "r.json").exists()
+
 
 class TestBench:
     def test_end_to_end(self, tmp_path, capsys):

@@ -1,12 +1,14 @@
 import math
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
 import otsolve.pdhg
-from otsolve import Iterate, SolverConfig, kkt_error, solve
+from otsolve import Iterate, SolverConfig, grid_problem, kkt_error, solve
 from otsolve.pdhg import (
+    ADAPTIVE,
     FIXED_BETA,
     default_stepsize,
     pdhg_step,
@@ -15,7 +17,7 @@ from otsolve.pdhg import (
     stepsize_bound,
 )
 
-from _helpers import make_problem, random_problem, two_by_two_optimal
+from _helpers import make_problem, random_iterate, random_problem, two_by_two_optimal
 from _oracles import materialize_A
 
 
@@ -308,7 +310,7 @@ class TestSolve:
 
         def kkt(prob, it):
             if steps and it is not steps[-1][0]:
-                averages.setdefault(len(steps), it.copy())
+                averages.setdefault(len(steps), it)  # a value, never written after
             return real_kkt(prob, it)
 
         monkeypatch.setattr(otsolve.pdhg, "kkt_error", kkt)
@@ -325,6 +327,47 @@ class TestSolve:
                 np.testing.assert_allclose(
                     getattr(averages[k], block), mean, rtol=0, atol=1e-13
                 )
+
+    @pytest.mark.parametrize("mode", [ADAPTIVE, FIXED_BETA])
+    def test_solve_writes_into_no_iterate(self, mode):
+        rng = np.random.default_rng(21)
+        prob = random_problem(rng, 4, 5)
+        initial = random_iterate(rng, 4, 5)
+
+        def blocks(it):
+            return [block.tobytes() for block in (it.X, it.p, it.q)]
+
+        seen = [(initial, blocks(initial))]
+        records = []
+
+        def on_restart(record):
+            records.append(record)
+            seen.append((record.point, blocks(record.point)))
+
+        cfg = SolverConfig(tol=1e-8, restart_mode=mode)
+        it, report = solve(prob, cfg, initial=initial, on_restart=on_restart)
+        assert report.restarts >= 3
+        assert "average" in {r.candidate for r in records}
+        for point, before in seen:
+            assert blocks(point) == before
+        assert kkt_error(prob, it) == report.final_relative_kkt
+
+    @pytest.mark.parametrize(
+        "mode, iters, bound", [(FIXED_BETA, 400, 5.5), (ADAPTIVE, 60, 7.1)], ids=[FIXED_BETA, ADAPTIVE]
+    )
+    def test_peak_memory(self, mode, iters, bound):
+        # The solve's peak allocation, in plan-sized arrays above the problem.
+        # A copied or needlessly kept iterate costs one more array.
+        prob = grid_problem("shapes", 16, "l1", seed=11)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            _, report = solve(prob, SolverConfig(tol=1e-12, restart_mode=mode, max_iters=iters))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.iterations == iters
+        assert (peak - before) / prob.C.nbytes <= bound
 
     def test_restart_records_match_report(self):
         prob = random_problem(np.random.default_rng(6), 3, 5)

@@ -244,8 +244,9 @@ class TestSinkhornSolve:
             assert np.all(np.isfinite(potentials.phi)) and np.all(np.isfinite(potentials.psi))
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            SinkhornConfig(penalty=0.0)
+        for penalty in (0.0, float("inf")):
+            with pytest.raises(ValueError):
+                SinkhornConfig(penalty=penalty)
         for name in ("penalty", "tol", "time_limit_s", "max_iters"):
             with pytest.raises(ValueError):
                 SinkhornConfig(**{name: float("nan")})

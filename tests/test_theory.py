@@ -4,6 +4,8 @@ import math
 import numpy as np
 import pytest
 
+from otsolve import Iterate
+
 from _helpers import make_problem, random_problem, two_by_two_optimal
 from _oracles import (
     check_identification,
@@ -86,22 +88,23 @@ class TestIdentification:
     def test_mass_on_N_cell_fails(self):
         prob, it = two_by_two_optimal()
         part = partition_and_delta(prob, it.X, it.p, it.q)
-        bad = it.copy()
-        bad.X[0, 1] = 1e-8  # ten times the tolerance
+        X = it.X.copy()
+        X[0, 1] = 1e-8  # ten times the tolerance
+        bad = Iterate(X, it.p, it.q)
         assert not check_identification(prob, part, bad, tol=1e-9)
 
     def test_vanished_support_fails(self):
         prob, it = two_by_two_optimal()
         part = partition_and_delta(prob, it.X, it.p, it.q)
-        bad = it.copy()
-        bad.X[0, 0] = 0.0
+        X = it.X.copy()
+        X[0, 0] = 0.0
+        bad = Iterate(X, it.p, it.q)
         assert not check_identification(prob, part, bad, tol=1e-9)
 
     def test_shrunk_reduced_cost_fails(self):
         prob, it = two_by_two_optimal()
         part = partition_and_delta(prob, it.X, it.p, it.q)
-        bad = it.copy()
-        bad.p = np.array([1.0, 1.0])  # reduced costs on N drop to 0
+        bad = Iterate(it.X, np.array([1.0, 1.0]), it.q)  # reduced costs on N drop to 0
         assert not check_identification(prob, part, bad, tol=1e-9)
 
 
