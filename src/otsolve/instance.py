@@ -69,10 +69,10 @@ class Marginal:
 
 @dataclass(eq=False)
 class CostMatrix:
-    """Non-negative cost matrix, tagged with how it was constructed."""
+    """Non-negative cost matrix, held as its entries alone; ``save_instance``
+    works out from them whether it is a grid cost."""
 
     entries: np.ndarray
-    norm_kind: str = EXPLICIT
 
     def __post_init__(self):
         self.entries = _as_float_array(self.entries, "cost")
@@ -80,8 +80,6 @@ class CostMatrix:
             raise InstanceError("cost must be a 2-D matrix")
         if np.any(self.entries < 0):
             raise InstanceError("negative cost entry")
-        if self.norm_kind not in COST_KINDS:
-            raise InstanceError(f"unknown cost kind {self.norm_kind!r}")
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -132,13 +130,7 @@ class OTProblem:
         return float(np.linalg.norm(self.f) + np.linalg.norm(self.g))
 
 
-def grid_coordinates(r: int) -> np.ndarray:
-    """(r^2, 2) array of (row, col) coordinates in row-major cell order."""
-    idx = np.arange(r * r)
-    return np.stack([idx // r, idx % r], axis=1).astype(np.float64)
-
-
-def grid_cost(r: int, norm_kind: str) -> CostMatrix:
+def grid_cost(r: int, kind: str) -> CostMatrix:
     """Pairwise moving cost between cells of an r x r grid.
 
     Entry (i, j) is the distance between the coordinate tuples of cells i and
@@ -148,17 +140,16 @@ def grid_cost(r: int, norm_kind: str) -> CostMatrix:
     """
     if r < 1:
         raise InstanceError("grid resolution must be positive")
-    if norm_kind not in GRID_COST_KINDS:
+    if kind not in GRID_COST_KINDS:
         raise InstanceError(f"grid cost kind must be one of {GRID_COST_KINDS}")
-    coords = grid_coordinates(r)
-    diff = np.abs(coords[:, None, :] - coords[None, :, :])
-    if norm_kind == L1:
-        entries = diff.sum(axis=2)
-    elif norm_kind == L2:
-        entries = np.sqrt((diff ** 2).sum(axis=2))
-    else:
-        entries = diff.max(axis=2)
-    return CostMatrix(entries, norm_kind)
+    rows, cols = np.divmod(np.arange(r * r, dtype=np.float64), r)
+    dr = np.abs(np.subtract.outer(rows, rows))
+    dc = np.abs(np.subtract.outer(cols, cols))
+    if kind == L1:
+        return CostMatrix(dr + dc)
+    if kind == L2:
+        return CostMatrix(np.sqrt(dr ** 2 + dc ** 2))
+    return CostMatrix(np.maximum(dr, dc))
 
 
 def _random_rectangle(rng: np.random.Generator, rows: range, cols: range) -> tuple:
@@ -201,14 +192,14 @@ def synth_instance(kind: str, r: int, seed: int) -> tuple[np.ndarray, np.ndarray
     return _synth_one(kind, r, rng), _synth_one(kind, r, rng)
 
 
-def grid_problem(kind: str, r: int, norm_kind: str, seed: int) -> OTProblem:
+def grid_problem(kind: str, r: int, cost_kind: str, seed: int) -> OTProblem:
     """Synthesize a full grid OT instance (two images + grid cost).
 
     Each image is flattened row-major into a marginal.
     """
     src, dst = synth_instance(kind, r, seed)
     return OTProblem(
-        cost=grid_cost(r, norm_kind),
+        cost=grid_cost(r, cost_kind),
         row_marginal=Marginal(src.ravel()),
         col_marginal=Marginal(dst.ravel()),
     )
@@ -218,27 +209,26 @@ def _format_vector(v: np.ndarray) -> str:
     return " ".join(str(x) for x in v.tolist())
 
 
-def _is_canonical_grid(prob: OTProblem) -> bool:
-    if prob.cost.norm_kind == EXPLICIT or prob.m != prob.n:
-        return False
+def _grid_kind(prob: OTProblem) -> str | None:
+    """The first grid cost kind whose entries equal the cost's, if any."""
     r = math.isqrt(prob.m)
-    if r * r != prob.m:
-        return False
-    return np.array_equal(prob.C, grid_cost(r, prob.cost.norm_kind).entries)
+    if prob.m != prob.n or r * r != prob.m:
+        return None
+    matches = (k for k in GRID_COST_KINDS if np.array_equal(prob.C, grid_cost(r, k).entries))
+    return next(matches, None)
 
 
 def save_instance(prob: OTProblem, path) -> None:
     """Write an instance in the plain-text format accepted by load_instance.
 
-    Grid-tagged costs are written as the one-line shorthand only when the
-    entries actually equal the canonical grid cost (normalized or otherwise
-    modified entries are written out explicitly), so a load always reproduces
-    the saved data.
+    The cost is written as the one-line grid shorthand whenever its entries
+    equal a grid cost, however it was built; any other cost (a normalized
+    grid cost, say) is written out explicitly. A load reproduces every cost
+    entry byte for byte.
     """
-    if _is_canonical_grid(prob):
-        lines = ["# otsolve instance", f"{prob.m} {prob.n}", f"cost {prob.cost.norm_kind}"]
-    else:
-        lines = ["# otsolve instance", f"{prob.m} {prob.n}", f"cost {EXPLICIT}"]
+    kind = _grid_kind(prob) or EXPLICIT
+    lines = ["# otsolve instance", f"{prob.m} {prob.n}", f"cost {kind}"]
+    if kind == EXPLICIT:
         lines.extend(_format_vector(row) for row in prob.C)
     lines.append(_format_vector(prob.f))
     lines.append(_format_vector(prob.g))
@@ -291,7 +281,7 @@ def load_instance(path) -> OTProblem:
         if len(lines) < 2 + m + 2:
             raise InstanceFormatError("instance file is truncated")
         rows = [_parse_floats(lines[pos + i].split(), n, f"cost row {i}") for i in range(m)]
-        cost = CostMatrix(np.stack(rows), EXPLICIT)
+        cost = CostMatrix(np.stack(rows))
         pos += m
     else:
         if m != n:

@@ -210,6 +210,10 @@ def solve(
         config = SolverConfig()
     start_time = time.perf_counter()
     it = initial if initial is not None else Iterate.zeros(prob.m, prob.n)
+    shapes = (np.shape(it.X), np.shape(it.p), np.shape(it.q))
+    expected = ((prob.m, prob.n), (prob.m,), (prob.n,))
+    if shapes != expected:
+        raise ValueError(f"initial (X, p, q) has shapes {shapes}, expected {expected}")
     eta, omega = default_stepsize(prob), 1.0
     adaptive = config.restart_mode == ADAPTIVE
     history: list[tuple[int, float]] = []  # (length, kkt) of every record

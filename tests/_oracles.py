@@ -10,6 +10,8 @@
   ``tu_submatrix_check`` samples the total unimodularity of the constraint
   matrix; ``data_precision`` recovers the rational grid spacing of the data
   and the restart-length bounds it implies.
+- ``grid_cost_reference`` builds a grid cost the long way, through the
+  (m, m, 2) array of coordinate differences between cells.
 - ``exact_oracle`` and ``optimal_basis_duals`` solve tiny instances exactly.
   Every vertex of the transportation polytope is the flow solution of some
   spanning tree of the complete bipartite graph on the row and column nodes,
@@ -31,6 +33,18 @@ ORACLE_SIZE_LIMIT = 12
 FLOW_FEASIBILITY_TOL = 1e-12
 TU_INVERSE_TOL = 1e-9
 RATIONAL_TOL = 1e-9
+
+
+def grid_cost_reference(r: int, kind: str) -> np.ndarray:
+    """Entries of ``grid_cost(r, kind)`` from the (r^2, 2) row-major cell coordinates."""
+    idx = np.arange(r * r)
+    coords = np.stack([idx // r, idx % r], axis=1).astype(np.float64)
+    diff = np.abs(coords[:, None, :] - coords[None, :, :])
+    if kind == "l1":
+        return diff.sum(axis=2)
+    if kind == "l2":
+        return np.sqrt((diff ** 2).sum(axis=2))
+    return diff.max(axis=2)
 
 
 def materialize_A(m: int, n: int) -> np.ndarray:

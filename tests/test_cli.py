@@ -22,7 +22,7 @@ class TestGen:
     def test_generates_loadable_instance(self, instance_file):
         prob = load_instance(instance_file)
         assert prob.m == prob.n == 9
-        assert prob.cost.norm_kind == "l2"
+        assert instance_file.read_text().splitlines()[2] == "cost l2"
 
     def test_deterministic_given_seed(self, tmp_path, instance_file):
         other = tmp_path / "again.txt"

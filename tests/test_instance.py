@@ -16,9 +16,8 @@ from otsolve import (
     save_instance,
     synth_instance,
 )
-from otsolve.instance import grid_coordinates
-
 from _helpers import make_problem
+from _oracles import grid_cost_reference
 
 
 class TestMarginalFromImage:
@@ -99,9 +98,16 @@ class TestGridCost:
         assert np.all(c2 <= c1 + 1e-15)
 
     def test_coordinates_row_major(self):
+        # cells 0..3 of a 2x2 grid are (0,0), (0,1), (1,0), (1,1)
         np.testing.assert_array_equal(
-            grid_coordinates(2), [[0, 0], [0, 1], [1, 0], [1, 1]]
+            grid_cost(2, "l1").entries, [[0, 1, 1, 2], [1, 0, 2, 1], [1, 2, 0, 1], [2, 1, 1, 0]]
         )
+
+    @pytest.mark.parametrize("kind", ["l1", "l2", "linf"])
+    @pytest.mark.parametrize("r", range(1, 9))
+    def test_bytes_match_coordinate_differences(self, r, kind):
+        entries = grid_cost(r, kind).entries
+        assert entries.tobytes() == grid_cost_reference(r, kind).tobytes()
 
     def test_bad_kind(self):
         with pytest.raises(InstanceError):
@@ -146,8 +152,8 @@ class TestFileRoundTrip:
         prob = grid_problem("whitenoise", 2, "l1", seed=5)
         path = tmp_path / "inst.txt"
         save_instance(prob, path)
+        assert path.read_text().splitlines()[2] == "cost l1"
         back = load_instance(path)
-        assert back.cost.norm_kind == "l1"
         np.testing.assert_allclose(back.C, prob.C, rtol=0, atol=1e-15)
         np.testing.assert_allclose(back.f, prob.f, rtol=0, atol=1e-15)
         np.testing.assert_allclose(back.g, prob.g, rtol=0, atol=1e-15)
@@ -163,16 +169,37 @@ class TestFileRoundTrip:
         np.testing.assert_allclose(back.g, prob.g, rtol=0, atol=1e-15)
 
     def test_normalized_grid_cost_round_trips_explicitly(self, tmp_path):
-        # an l2-tagged cost divided by its maximum no longer matches the
-        # canonical grid, so its entries must be written out in full
+        # an l2 grid cost divided by its maximum no longer matches any grid
+        # cost, so its entries must be written out in full
         prob = grid_problem("cauchy_like", 2, "l2", seed=1)
         entries = prob.C / prob.C.max()
-        prob = OTProblem(CostMatrix(entries, "l2"), prob.row_marginal, prob.col_marginal)
+        prob = OTProblem(CostMatrix(entries), prob.row_marginal, prob.col_marginal)
         path = tmp_path / "norm.txt"
         save_instance(prob, path)
         assert "cost explicit" in path.read_text()
         back = load_instance(path)
         np.testing.assert_allclose(back.C, prob.C, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("entries, line", [
+        (grid_cost(3, "l1").entries.copy(), "cost l1"),
+        (grid_cost(3, "l2").entries.copy(), "cost l2"),
+        (grid_cost(3, "linf").entries.copy(), "cost linf"),
+        (grid_cost(4, "l2").entries / np.sqrt(18.0), "cost explicit"),
+        (np.random.default_rng(3).random((16, 16)), "cost explicit"),
+        (np.random.default_rng(4).random((2, 3)), "cost explicit"),
+    ], ids=["l1", "l2", "linf", "normalized_l2", "random_16x16", "random_2x3"])
+    def test_cost_line_follows_the_entries(self, tmp_path, entries, line):
+        # the shorthand is chosen from the entries alone, however they were built
+        m, n = entries.shape
+        rng = np.random.default_rng(5)
+        prob = make_problem(entries, rng.random(m) + 0.1, rng.random(n) + 0.1)
+        path = tmp_path / "inst.txt"
+        save_instance(prob, path)
+        assert path.read_text().splitlines()[2] == line
+        back = load_instance(path)
+        assert back.C.tobytes() == prob.C.tobytes()
+        np.testing.assert_allclose(back.f, prob.f, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(back.g, prob.g, rtol=0, atol=1e-15)
 
     def test_explicit_rectangular_by_hand(self, tmp_path):
         path = tmp_path / "inst.txt"

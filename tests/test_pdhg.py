@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 from dataclasses import fields
 
@@ -245,6 +246,18 @@ class TestSolve:
         it, report = solve(prob, SolverConfig(tol=1e-6), initial=opt)
         assert report.solved
         assert report.iterations == 0
+
+    @pytest.mark.parametrize("X, p, q, shapes", [
+        (np.zeros((3, 4)), np.zeros((3, 1)), np.zeros(4), "((3, 4), (3, 1), (4,))"),
+        (np.zeros((4, 3)), np.zeros(3), np.zeros(4), "((4, 3), (3,), (4,))"),
+        (np.zeros((1, 4)), np.zeros(3), np.zeros(4), "((1, 4), (3,), (4,))"),
+        (np.zeros((3, 4)), np.zeros(3), 0.0, "((3, 4), (3,), ())"),
+    ], ids=["p_column", "X_transposed", "X_one_row", "q_scalar"])
+    def test_misshaped_initial_rejected(self, X, p, q, shapes):
+        prob = random_problem(np.random.default_rng(2), 3, 4)
+        expected = re.escape(f"shapes {shapes}, expected ((3, 4), (3,), (4,))")
+        with pytest.raises(ValueError, match=expected):
+            solve(prob, initial=Iterate(X, p, q))
 
     @pytest.mark.parametrize("termination, cfg, warm", [
         ("tolerance", SolverConfig(tol=1e-6), False),

@@ -88,12 +88,12 @@ class TestSinkhornSolve:
         prob = make_problem(C, f, g)
         eps = float(10.0 ** rng.uniform(-2.5, -0.5))
         cfg = SinkhornConfig(penalty=eps, tol=1e-9, max_iters=5000)
-        plan, potentials, report = sinkhorn_solve(prob, cfg)
+        plan, (phi, psi), report = sinkhorn_solve(prob, cfg)
         ref_plan, ref_phi, ref_psi, ref_iterations = scipy_sinkhorn(prob, eps, 1e-9, 5000)
         assert report.iterations == ref_iterations
         assert np.array_equal(plan, ref_plan)
-        assert np.array_equal(potentials.phi, ref_phi)
-        assert np.array_equal(potentials.psi, ref_psi)
+        assert np.array_equal(phi, ref_phi)
+        assert np.array_equal(psi, ref_psi)
 
     def test_zero_cost_gives_product_coupling(self):
         rng = np.random.default_rng(0)
@@ -142,22 +142,22 @@ class TestSinkhornSolve:
             [0.5, 0.0, 0.5],
             [0.2, 0.3, 0.5],
         )
-        plan, potentials, report = sinkhorn_solve(prob, SinkhornConfig(penalty=0.2, tol=1e-8))
+        plan, (phi, _), report = sinkhorn_solve(prob, SinkhornConfig(penalty=0.2, tol=1e-8))
         assert report.solved
         np.testing.assert_array_equal(plan[1], np.zeros(3))
-        assert np.all(np.isfinite(potentials.phi))
+        assert np.all(np.isfinite(phi))
         np.testing.assert_allclose(plan.sum(axis=1), prob.f, rtol=0, atol=1e-7)
 
     def test_small_penalty_stays_finite(self):
         rng = np.random.default_rng(4)
         prob = random_problem(rng, 4, 4)
-        plan, potentials, _ = sinkhorn_solve(
+        plan, (phi, psi), _ = sinkhorn_solve(
             prob, SinkhornConfig(penalty=1e-4, tol=1e-6, max_iters=20_000)
         )
         assert np.all(np.isfinite(plan))
         assert np.all(plan >= 0)
-        assert np.all(np.isfinite(potentials.phi))
-        assert np.all(np.isfinite(potentials.psi))
+        assert np.all(np.isfinite(phi))
+        assert np.all(np.isfinite(psi))
 
     def test_objective_monotone_in_penalty(self):
         # rounded objective decreases toward the LP optimum 0.3 as the
@@ -194,9 +194,9 @@ class TestSinkhornSolve:
     def test_start_meeting_tol_takes_no_iteration(self):
         # exp(-ln 4) = 1/4 is the product coupling of uniform 2x2 marginals
         prob = make_problem(np.full((2, 2), np.log(4.0)), [0.5, 0.5], [0.5, 0.5])
-        plan, potentials, report = sinkhorn_solve(prob, SinkhornConfig(penalty=1.0))
+        plan, (phi, _), report = sinkhorn_solve(prob, SinkhornConfig(penalty=1.0))
         assert report.solved and report.iterations == 0
-        np.testing.assert_array_equal(potentials.phi, 0.0)
+        np.testing.assert_array_equal(phi, 0.0)
         np.testing.assert_allclose(plan, 0.25, rtol=0, atol=1e-15)
 
     def test_one_plan_per_iteration(self, monkeypatch):
@@ -239,9 +239,9 @@ class TestSinkhornSolve:
                        (tiny, float(np.finfo(np.float64).tiny))):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                plan, potentials, _ = sinkhorn_solve(p, SinkhornConfig(penalty=eps, max_iters=50))
+                plan, (phi, psi), _ = sinkhorn_solve(p, SinkhornConfig(penalty=eps, max_iters=50))
             assert np.all(np.isfinite(plan))
-            assert np.all(np.isfinite(potentials.phi)) and np.all(np.isfinite(potentials.psi))
+            assert np.all(np.isfinite(phi)) and np.all(np.isfinite(psi))
 
     def test_config_validation(self):
         for penalty in (0.0, float("inf")):
