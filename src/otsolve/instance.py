@@ -43,7 +43,10 @@ def _as_float_array(values, name: str) -> np.ndarray:
 
 @dataclass(eq=False)
 class Marginal:
-    """Probability vector. Weights are normalized to unit sum on construction."""
+    """Probability vector. Weights are divided by their sum on construction,
+    unless they already sum to one within ``MARGINAL_SUM_TOL``: those are kept
+    as given, so a marginal built from a marginal's weights (a saved instance
+    loaded back, say) has the same bytes."""
 
     weights: np.ndarray
 
@@ -59,9 +62,10 @@ class Marginal:
             raise InstanceError("marginal mass overflows")
         if total <= 0.0:
             raise InstanceError("marginal has zero mass")
-        self.weights = self.weights / total
-        if abs(float(self.weights.sum()) - 1.0) > MARGINAL_SUM_TOL:
-            raise InstanceError("marginal does not normalize to unit sum")
+        if abs(total - 1.0) > MARGINAL_SUM_TOL:
+            self.weights = self.weights / total
+            if abs(float(self.weights.sum()) - 1.0) > MARGINAL_SUM_TOL:
+                raise InstanceError("marginal does not normalize to unit sum")
 
     def __len__(self) -> int:
         return self.weights.size

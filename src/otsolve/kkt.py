@@ -4,6 +4,8 @@ The relative KKT error sums three blocks, each normalized by the scale of the
 corresponding problem data: the primal residual, the element-wise positive
 part of the dual violation, and the duality gap. It vanishes exactly at
 optimality and is the one number the restart and termination tests read.
+``dual_slack`` builds the O(mn) part, which the solver also hands on to the
+next PDHG step.
 """
 
 from __future__ import annotations
@@ -33,20 +35,33 @@ class Iterate:
         return cls(np.zeros((m, n)), np.zeros(m), np.zeros(n))
 
 
-def kkt_error(prob: OTProblem, it: Iterate) -> float:
+def dual_slack(prob: OTProblem, it: Iterate) -> np.ndarray:
+    """S = p 1^T + 1 q^T - C as a new array: the dual slack, whose positive
+    part is the dual violation and whose negation is the reduced cost."""
+    slack = apply_At(it.p, it.q)
+    np.subtract(slack, prob.C, out=slack)
+    return slack
+
+
+def kkt_error(prob: OTProblem, it: Iterate, slack: np.ndarray | None = None) -> float:
     """Relative KKT error, evaluated matrix-free:
 
         |X 1 - f, X^T 1 - g| / (1 + |f| + |g|)
       + |[p 1^T + 1 q^T - C]^+|_F / (1 + |C|_F)
       + |<C,X> - f^T p - g^T q| / (1 + |<C,X>| + |f^T p + g^T q|).
 
-    A NaN or infinite entry in X, p or q makes the result non-finite.
+    ``slack``, if given, must be ``dual_slack(prob, it)``; it is read, not
+    written, so the next ``pdhg_step`` can take it too. A NaN or infinite
+    entry in X, p or q makes the result non-finite.
     """
     rows, cols = apply_A(it.X)
     primal_row = rows - prob.f
     primal_col = cols - prob.g
-    violation = apply_At(it.p, it.q) - prob.C
-    np.maximum(violation, 0.0, out=violation)
+    if slack is None:
+        violation = dual_slack(prob, it)
+        np.maximum(violation, 0.0, out=violation)
+    else:
+        violation = np.maximum(slack, 0.0)
 
     primal_obj = float(np.vdot(prob.C, it.X))
     dual_obj = float(prob.f @ it.p + prob.g @ it.q)

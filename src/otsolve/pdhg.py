@@ -31,7 +31,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .instance import OTProblem
-from .kkt import Iterate, kkt_error
+from .kkt import Iterate, dual_slack, kkt_error
+# apply_At is not called here since dual_slack took it over, but the
+# benchmark's tracer still wraps it under this module's name.
 from .operator import apply_A, apply_At
 from .reports import SolveReport, finished_report
 from .rounding import round_to_feasible
@@ -92,25 +94,39 @@ class RestartRecord:
     point: Iterate
 
 
-def pdhg_step(prob: OTProblem, it: Iterate, tau: float, sigma: float) -> Iterate:
-    """One primal-dual step: projected primal descent, extrapolated dual ascent."""
-    X_next = it.X - tau * (prob.C - apply_At(it.p, it.q))
+def pdhg_step(
+    prob: OTProblem, it: Iterate, tau: float, sigma: float, slack: np.ndarray | None = None
+) -> Iterate:
+    """One primal-dual step: projected primal descent, extrapolated dual ascent.
+
+    ``slack``, if given, must be ``dual_slack(prob, it)``. The step overwrites
+    it with the extrapolated plan 2 X_next - X, so it is scratch afterwards.
+    """
+    if slack is None:
+        slack = dual_slack(prob, it)
+    # X + tau S has the bits of X - tau (C - p 1^T - 1 q^T): negation is exact.
+    X_next = tau * slack
+    X_next += it.X
     np.maximum(X_next, 0.0, out=X_next)
-    extra = 2.0 * X_next - it.X
+    extra = np.multiply(X_next, 2.0, out=slack)
+    extra -= it.X
     rows, cols = apply_A(extra)
     p_next = it.p + sigma * (prob.f - rows)
     q_next = it.q + sigma * (prob.g - cols)
     return Iterate(X_next, p_next, q_next)
 
 
-def stepsize_bound(it: Iterate, it_next: Iterate, omega: float) -> float:
+def stepsize_bound(
+    it: Iterate, it_next: Iterate, omega: float, work: np.ndarray | None = None
+) -> float:
     """Largest admissible step-size scale for the displacement pair.
 
     Ratio of the omega-weighted squared displacement norm to twice the
     absolute bilinear coupling of the primal and dual displacements;
-    infinite when the coupling vanishes.
+    infinite when the coupling vanishes. The plan displacement is written
+    into ``work`` if given.
     """
-    dX = it_next.X - it.X
+    dX = np.subtract(it_next.X, it.X, out=work)
     dp = it_next.p - it.p
     dq = it_next.q - it.q
     numer = omega * float(np.vdot(dX, dX)) + (
@@ -159,24 +175,35 @@ def should_restart(
     return k >= BETA_ARTIFICIAL * total_iterations
 
 
+def _mean_step(new: np.ndarray, average: np.ndarray, k: int) -> np.ndarray:
+    """(new - average) / k + average, in one new array: the bits of
+    average + (new - average) / k, since addition commutes."""
+    out = new - average
+    out /= k
+    out += average
+    return out
+
+
 def default_stepsize(prob: OTProblem) -> float:
     """1 / (2 sqrt(m + n)): half the inverse operator norm."""
     return 1.0 / (2.0 * math.sqrt(prob.m + prob.n))
 
 
 def _accepted_step(
-    prob: OTProblem, it: Iterate, eta: float, omega: float, adaptive: bool
+    prob: OTProblem, it: Iterate, slack: np.ndarray, eta: float, omega: float, adaptive: bool
 ) -> tuple[Iterate, float]:
     """Take one step with tau = eta / omega and sigma = eta * omega.
 
-    In adaptive mode the step is retaken with halved eta until accepted.
-    Returns the step and the eta proposed for the next one.
+    ``slack`` is ``dual_slack(prob, it)``; the step and the bound use it as
+    scratch. In adaptive mode the step is retaken with halved eta, from the
+    slack rebuilt in the same array, until accepted. Returns the step and
+    the eta proposed for the next one.
     """
     if not adaptive:
-        return pdhg_step(prob, it, eta / omega, eta * omega), eta
+        return pdhg_step(prob, it, eta / omega, eta * omega, slack), eta
     for _ in range(_MAX_HALVINGS):
-        trial = pdhg_step(prob, it, eta / omega, eta * omega)
-        bound = stepsize_bound(it, trial, omega)
+        trial = pdhg_step(prob, it, eta / omega, eta * omega, slack)
+        bound = stepsize_bound(it, trial, omega, slack)
         if eta <= bound:
             # Accepted: propose mild growth for the next iteration. An
             # infinite bound carries no curvature information, so keep eta.
@@ -184,6 +211,10 @@ def _accepted_step(
                 eta = min(_STEP_GROWTH * eta, bound)
             return trial, eta
         eta *= 0.5
+        # The rejected trial goes first, and the slack is rebuilt in place:
+        # the caller holds it, and a second plan-sized array would raise the peak.
+        del trial
+        slack[...] = dual_slack(prob, it)
     raise RuntimeError("step-size line search failed to find an admissible eta")
 
 
@@ -227,7 +258,10 @@ def solve(
         return record
 
     # No iterate is written after it is built, so iterates may share arrays.
-    epoch = emit(RestartRecord(0, 0, kkt_error(prob, it), "start", eta, omega, it))
+    # The slack is the current iterate's: its KKT error reads it, and the
+    # next step consumes it as scratch.
+    slack = dual_slack(prob, it)
+    epoch = emit(RestartRecord(0, 0, kkt_error(prob, it, slack), "start", eta, omega, it))
     average = best = it
     prev_candidate_kkt = best_kkt = epoch.kkt
     total = 0  # iterations in all
@@ -243,20 +277,25 @@ def solve(
             termination = "time_limit"
             break
 
-        it, eta = _accepted_step(prob, it, eta, omega, adaptive)
+        it, eta = _accepted_step(prob, it, slack, eta, omega, adaptive)
         total += 1
         k = total - epoch.iteration  # iterations since the last restart
 
         # Uniform running mean of the inner iterates since the last restart.
         average = Iterate(
-            average.X + (it.X - average.X) / k,
-            average.p + (it.p - average.p) / k,
-            average.q + (it.q - average.q) / k,
+            _mean_step(it.X, average.X, k),
+            _mean_step(it.p, average.p, k),
+            _mean_step(it.q, average.q, k),
         )
 
+        # The step spent the slack; it is replaced only now, after the
+        # average, so that no two plan-sized arrays are freed back to back.
+        # That would let malloc return their pages to the system, and each
+        # iteration would then fault them in again.
+        slack = dual_slack(prob, it)
         # A non-finite entry anywhere in the iterate makes its KKT error
         # non-finite, so this one number doubles as the finiteness check.
-        kkt_cur = kkt_error(prob, it)
+        kkt_cur = kkt_error(prob, it, slack)
         if not math.isfinite(kkt_cur):
             raise RuntimeError("numerical failure: non-finite iterate")
         kkt_avg = kkt_error(prob, average)
@@ -279,10 +318,14 @@ def solve(
                     np.sum((cand.p - epoch.point.p) ** 2) + np.sum((cand.q - epoch.point.q) ** 2)
                 ))
                 omega = primal_weight_update(dX, dpq, omega)
+            if source == "average":
+                slack = dual_slack(prob, cand)
             it = average = cand
             epoch = emit(RestartRecord(total, k, cand_kkt, source, eta, omega, cand))
         prev_candidate_kkt = cand_kkt
+        del cand  # an old iterate, not to be kept through the next iteration
 
+    del slack  # not to be kept through the rounding
     elapsed = time.perf_counter() - start_time
     return best, finished_report(
         "pdot", config, prob, round_to_feasible(prob, best.X), best.p, best.q,

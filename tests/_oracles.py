@@ -12,6 +12,10 @@
   and the restart-length bounds it implies.
 - ``grid_cost_reference`` builds a grid cost the long way, through the
   (m, m, 2) array of coordinate differences between cells.
+- ``unshared_pdhg_step``, ``unshared_stepsize_bound``, ``unshared_kkt_error``
+  and ``unshared_mean_step`` are the solver's per-point arithmetic written
+  out the long way: each builds its own reduced cost C - p 1^T - 1 q^T or
+  displacement in fresh arrays and ignores the shared slack it is passed.
 - ``exact_oracle`` and ``optimal_basis_duals`` solve tiny instances exactly.
   Every vertex of the transportation polytope is the flow solution of some
   spanning tree of the complete bipartite graph on the row and column nodes,
@@ -26,6 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from otsolve.kkt import Iterate
 from otsolve.operator import apply_A, apply_At
 
 MATERIALIZE_LIMIT = 10_000
@@ -45,6 +50,50 @@ def grid_cost_reference(r: int, kind: str) -> np.ndarray:
     if kind == "l2":
         return np.sqrt((diff ** 2).sum(axis=2))
     return diff.max(axis=2)
+
+
+def unshared_pdhg_step(prob, it, tau, sigma, slack=None):
+    X_next = it.X - tau * (prob.C - apply_At(it.p, it.q))
+    np.maximum(X_next, 0.0, out=X_next)
+    extra = 2.0 * X_next - it.X
+    rows, cols = apply_A(extra)
+    return Iterate(X_next, it.p + sigma * (prob.f - rows), it.q + sigma * (prob.g - cols))
+
+
+def unshared_stepsize_bound(it, it_next, omega, work=None):
+    dX = it_next.X - it.X
+    dp = it_next.p - it.p
+    dq = it_next.q - it.q
+    numer = omega * float(np.vdot(dX, dX)) + (
+        float(np.vdot(dp, dp)) + float(np.vdot(dq, dq))
+    ) / omega
+    rows, cols = apply_A(dX)
+    denom = 2.0 * abs(float(dp @ rows + dq @ cols))
+    if denom <= 1e-10:  # pdhg._EPS_ZERO
+        return math.inf
+    return numer / denom
+
+
+def unshared_kkt_error(prob, it, slack=None) -> float:
+    rows, cols = apply_A(it.X)
+    primal_row = rows - prob.f
+    primal_col = cols - prob.g
+    violation = apply_At(it.p, it.q) - prob.C
+    np.maximum(violation, 0.0, out=violation)
+    primal_obj = float(np.vdot(prob.C, it.X))
+    dual_obj = float(prob.f @ it.p + prob.g @ it.q)
+    gap = primal_obj - dual_obj
+    primal_sq = float(np.vdot(primal_row, primal_row) + np.vdot(primal_col, primal_col))
+    dual_sq = float(np.vdot(violation, violation))
+    return float(
+        np.sqrt(primal_sq) / (1.0 + prob.marginal_norm)
+        + np.sqrt(dual_sq) / (1.0 + prob.cost_fro_norm)
+        + abs(gap) / (1.0 + abs(primal_obj) + abs(dual_obj))
+    )
+
+
+def unshared_mean_step(new: np.ndarray, average: np.ndarray, k: int) -> np.ndarray:
+    return average + (new - average) / k
 
 
 def materialize_A(m: int, n: int) -> np.ndarray:

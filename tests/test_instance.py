@@ -71,6 +71,14 @@ class TestMarginal:
         m = Marginal([0.0, 1.0, 3.0])
         np.testing.assert_allclose(m.weights, [0.0, 0.25, 0.75])
 
+    def test_normalizing_twice_changes_no_bit(self):
+        # the weights of a marginal often sum to 1 +- 1 ulp; dividing them by
+        # that sum again would move some of them
+        rng = np.random.default_rng(1)
+        for k in range(1, 60):
+            m = Marginal(rng.random(k) + 0.01)
+            assert Marginal(m.weights).weights.tobytes() == m.weights.tobytes()
+
 
 class TestGridCost:
     def test_single_cell(self):
@@ -167,6 +175,17 @@ class TestFileRoundTrip:
         np.testing.assert_allclose(back.C, prob.C, rtol=0, atol=1e-15)
         np.testing.assert_allclose(back.f, prob.f, rtol=0, atol=1e-15)
         np.testing.assert_allclose(back.g, prob.g, rtol=0, atol=1e-15)
+
+    def test_random_problems_load_back_byte_identical(self, tmp_path):
+        rng = np.random.default_rng(0)
+        path = tmp_path / "inst.txt"
+        for _ in range(100):
+            m, n = (int(v) for v in rng.integers(1, 20, size=2))
+            prob = make_problem(rng.random((m, n)), rng.random(m) + 0.01, rng.random(n) + 0.01)
+            save_instance(prob, path)
+            back = load_instance(path)
+            for block in ("C", "f", "g"):
+                assert np.array_equal(getattr(back, block), getattr(prob, block))
 
     def test_normalized_grid_cost_round_trips_explicitly(self, tmp_path):
         # an l2 grid cost divided by its maximum no longer matches any grid

@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from otsolve import Iterate, kkt_error
+from otsolve.kkt import dual_slack
 
 from _helpers import make_problem, two_by_two_optimal
 
@@ -57,6 +58,17 @@ class TestKKTError:
             + abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
         )
         assert kkt_error(prob, it) == pytest.approx(expected, rel=1e-14)
+
+    def test_reads_the_given_slack(self):
+        # the same value from a given dual slack, which stays as it was
+        rng = np.random.default_rng(4)
+        prob = make_problem(rng.random((4, 3)), rng.random(4) + 0.1, rng.random(3) + 0.1)
+        it = Iterate(rng.random((4, 3)), rng.standard_normal(4), rng.standard_normal(3))
+        slack = dual_slack(prob, it)
+        before = slack.tobytes()
+        assert slack.tobytes() == (it.p[:, None] + it.q[None, :] - prob.C).tobytes()
+        assert kkt_error(prob, it, slack) == kkt_error(prob, it)
+        assert slack.tobytes() == before
 
     def test_huge_finite_dual_stays_finite(self):
         # the gap and its normalizer are both ~1e200 here; squaring the gap

@@ -6,8 +6,10 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+import otsolve.kkt
 import otsolve.pdhg
 from otsolve import Iterate, SolverConfig, grid_problem, kkt_error, solve
+from otsolve.kkt import dual_slack
 from otsolve.pdhg import (
     ADAPTIVE,
     FIXED_BETA,
@@ -19,7 +21,13 @@ from otsolve.pdhg import (
 )
 
 from _helpers import make_problem, random_iterate, random_problem, two_by_two_optimal
-from _oracles import materialize_A
+from _oracles import (
+    materialize_A,
+    unshared_kkt_error,
+    unshared_mean_step,
+    unshared_pdhg_step,
+    unshared_stepsize_bound,
+)
 
 
 def dense_pdhg_run(prob, x, y, eta, iters):
@@ -45,8 +53,8 @@ def record_steps(monkeypatch):
     calls = []
     real = otsolve.pdhg.pdhg_step
 
-    def step(prob, it, tau, sigma):
-        out = real(prob, it, tau, sigma)
+    def step(prob, it, tau, sigma, slack=None):
+        out = real(prob, it, tau, sigma, slack)
         calls.append((out, math.sqrt(tau * sigma)))
         return out
 
@@ -56,7 +64,7 @@ def record_steps(monkeypatch):
 
 def fixed_bound(monkeypatch, value):
     """Make the line search see ``value`` as the bound of every trial step."""
-    monkeypatch.setattr(otsolve.pdhg, "stepsize_bound", lambda it, nxt, omega: value)
+    monkeypatch.setattr(otsolve.pdhg, "stepsize_bound", lambda it, nxt, omega, work=None: value)
 
 
 class TestPdhgStep:
@@ -91,6 +99,23 @@ class TestPdhgStep:
                 np.testing.assert_allclose(
                     np.concatenate([it.p, it.q]), y_ref, rtol=0, atol=1e-10
                 )
+
+    def test_shared_slack_same_bits(self):
+        # integer data, so p_i + q_j == C_ij exactly on many cells and the
+        # slack holds exact zeros; the given slack ends up overwritten
+        rng = np.random.default_rng(13)
+        for _ in range(20):
+            m, n = (int(v) for v in rng.integers(1, 7, size=2))
+            prob = make_problem(rng.integers(0, 4, (m, n)), rng.random(m) + 0.1, rng.random(n) + 0.1)
+            it = Iterate(rng.integers(0, 2, (m, n)) * rng.random((m, n)),
+                         rng.integers(-2, 3, m).astype(float), rng.integers(-2, 3, n).astype(float))
+            tau, sigma = rng.random(2) + 0.01
+            expected = unshared_pdhg_step(prob, it, tau, sigma)
+            slack = dual_slack(prob, it)
+            for out in (pdhg_step(prob, it, tau, sigma), pdhg_step(prob, it, tau, sigma, slack)):
+                for block in ("X", "p", "q"):
+                    assert getattr(out, block).tobytes() == getattr(expected, block).tobytes()
+            assert slack.tobytes() == (2.0 * expected.X - it.X).tobytes()
 
 
 class TestStepSize:
@@ -140,9 +165,9 @@ class TestStepSize:
         trials = []
         real = otsolve.pdhg.pdhg_step
 
-        def step(prob, it, tau, sigma):
+        def step(prob, it, tau, sigma, slack=None):
             trials.append((tau, sigma))
-            return real(prob, it, tau, sigma)
+            return real(prob, it, tau, sigma, slack)
 
         monkeypatch.setattr(otsolve.pdhg, "pdhg_step", step)
         epochs = []  # (record, index of the epoch's first trial)
@@ -172,7 +197,7 @@ def restart_with_kkts(monkeypatch, kkt_current, kkt_average):
     have the given relative KKT errors; returns the restart record."""
     steps = record_steps(monkeypatch)
 
-    def kkt(prob, it):
+    def kkt(prob, it, slack=None):
         if not steps:
             value = 1.0  # the starting point
         else:
@@ -291,16 +316,16 @@ class TestSolve:
         bounds = {}
         real_bound = otsolve.pdhg.stepsize_bound
 
-        def bound(it, nxt, omega):
-            bounds[id(nxt)] = real_bound(it, nxt, omega)
+        def bound(it, nxt, omega, work=None):
+            bounds[id(nxt)] = real_bound(it, nxt, omega, work)
             return bounds[id(nxt)]
 
         evaluated = []  # the iterates whose KKT error the loop evaluates
         real_kkt = otsolve.pdhg.kkt_error
 
-        def kkt(prob, it):
+        def kkt(prob, it, slack=None):
             evaluated.append(it)  # a reference, so no later object reuses its id
-            return real_kkt(prob, it)
+            return real_kkt(prob, it, slack)
 
         monkeypatch.setattr(otsolve.pdhg, "stepsize_bound", bound)
         monkeypatch.setattr(otsolve.pdhg, "kkt_error", kkt)
@@ -321,10 +346,10 @@ class TestSolve:
         averages = {}  # iteration -> the average evaluated after that step
         real_kkt = otsolve.pdhg.kkt_error
 
-        def kkt(prob, it):
+        def kkt(prob, it, slack=None):
             if steps and it is not steps[-1][0]:
                 averages.setdefault(len(steps), it)  # a value, never written after
-            return real_kkt(prob, it)
+            return real_kkt(prob, it, slack)
 
         monkeypatch.setattr(otsolve.pdhg, "kkt_error", kkt)
         records = []
@@ -366,7 +391,7 @@ class TestSolve:
         assert kkt_error(prob, it) == report.final_relative_kkt
 
     @pytest.mark.parametrize(
-        "mode, iters, bound", [(FIXED_BETA, 400, 5.5), (ADAPTIVE, 60, 7.1)], ids=[FIXED_BETA, ADAPTIVE]
+        "mode, iters, bound", [(FIXED_BETA, 400, 5.5), (ADAPTIVE, 60, 6.5)], ids=[FIXED_BETA, ADAPTIVE]
     )
     def test_peak_memory(self, mode, iters, bound):
         # The solve's peak allocation, in plan-sized arrays above the problem.
@@ -401,8 +426,8 @@ class TestSolve:
         calls = []
         real_kkt = otsolve.pdhg.kkt_error
 
-        def kkt(prob, it):
-            calls.append(real_kkt(prob, it))
+        def kkt(prob, it, slack=None):
+            calls.append(real_kkt(prob, it, slack))
             return calls[-1]
 
         monkeypatch.setattr(otsolve.pdhg, "kkt_error", kkt)
@@ -422,8 +447,8 @@ class TestSolve:
     def test_non_finite_iterate_fails(self, monkeypatch):
         real = otsolve.pdhg.pdhg_step
 
-        def step(prob, it, tau, sigma):
-            out = real(prob, it, tau, sigma)
+        def step(prob, it, tau, sigma, slack=None):
+            out = real(prob, it, tau, sigma, slack)
             out.q[-1] = math.nan
             return out
 
@@ -485,6 +510,82 @@ class TestSolve:
         _, report = solve(prob, SolverConfig(tol=1e-5))
         back = SolveReport.from_json(report.to_json())
         assert back == report
+
+
+def solve_bytes(prob, cfg, initial=None):
+    """A solve's returned bytes, restart sources and report (wall time zeroed)."""
+    records = []
+    it, report = solve(prob, cfg, initial=initial, on_restart=records.append)
+    report.wall_time_s = 0.0
+    return ([block.tobytes() for block in (it.X, it.p, it.q)],
+            [r.candidate for r in records], report.to_json())
+
+
+def use_unshared(monkeypatch):
+    """Give the solver the arithmetic in which no reduced cost is shared."""
+    for name, fn in (("pdhg_step", unshared_pdhg_step), ("stepsize_bound", unshared_stepsize_bound),
+                     ("kkt_error", unshared_kkt_error), ("_mean_step", unshared_mean_step)):
+        monkeypatch.setattr(otsolve.pdhg, name, fn)
+
+
+class TestSharedSlack:
+    """One dual slack per current iterate, read by its KKT error and spent by
+    its step, leaves every bit of a solve as it was."""
+
+    def test_same_bits_on_grid(self, monkeypatch):
+        prob = grid_problem("shapes", 16, "l1", seed=11)
+        cfg = SolverConfig(tol=1e-5, max_iters=2000)
+        shared = solve_bytes(prob, cfg)
+        assert '"iterations": 421' in shared[2]
+        use_unshared(monkeypatch)
+        assert solve_bytes(prob, cfg) == shared
+
+    @pytest.mark.parametrize("mode", [ADAPTIVE, FIXED_BETA])
+    def test_same_bits_on_random_problems(self, monkeypatch, mode):
+        rng = np.random.default_rng(17)
+        cases = []
+        for i in range(8):
+            m, n = (int(v) for v in rng.integers(2, 8, size=2))
+            prob = random_problem(rng, m, n)
+            cases.append((prob, random_iterate(rng, m, n) if i % 2 else None))
+        cfg = SolverConfig(tol=1e-8, restart_mode=mode, max_iters=5000)
+        steps = record_steps(monkeypatch)
+        shared = [solve_bytes(prob, cfg, initial) for prob, initial in cases]
+        iterations = sum(int(re.search(r'"iterations": (\d+)', s[2])[1]) for s in shared)
+        if mode == ADAPTIVE:
+            assert len(steps) > iterations  # the line search rejected some trials
+        assert sum(s[1].count("average") for s in shared) >= 10  # restarts the average won
+        use_unshared(monkeypatch)
+        assert [solve_bytes(prob, cfg, initial) for prob, initial in cases] == shared
+
+    @pytest.mark.parametrize("mode", [ADAPTIVE, FIXED_BETA])
+    def test_adjoint_calls(self, monkeypatch, mode):
+        # the start and each step's iterate build their slack once; the
+        # average's KKT error builds its own; a rejected trial's retry and a
+        # restart the average wins rebuild the current slack
+        adjoint = []
+        real = otsolve.kkt.apply_At
+
+        def counted(p, q):
+            adjoint.append(1)
+            return real(p, q)
+
+        monkeypatch.setattr(otsolve.kkt, "apply_At", counted)
+        steps = record_steps(monkeypatch)
+        retried = won = 0
+        for seed in range(3):
+            prob = random_problem(np.random.default_rng(seed), 4, 6)
+            adjoint.clear()
+            steps.clear()
+            records = []
+            _, report = solve(prob, SolverConfig(tol=1e-8, restart_mode=mode, max_iters=5000),
+                              on_restart=records.append)
+            retries = len(steps) - report.iterations
+            averages = sum(r.candidate == "average" for r in records)
+            assert len(adjoint) == 1 + 2 * report.iterations + retries + averages
+            retried += retries
+            won += averages
+        assert won > 0 and (retried > 0) == (mode == ADAPTIVE)
 
 
 class TestConfigValidation:
