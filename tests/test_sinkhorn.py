@@ -1,8 +1,10 @@
+import itertools
 import os
 import subprocess
 import sys
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -33,7 +35,11 @@ def naive_sinkhorn(C, f, g, eps, tol, max_iters=100_000):
 
 
 def scipy_sinkhorn(prob, eps, tol, max_iters):
-    """Reference: the log-domain loop with scipy.special.logsumexp half-updates."""
+    """Reference: the log-domain loop with scipy.special.logsumexp half-updates.
+
+    It forms the plan on every pass and returns, besides the plan, the
+    potentials and the iteration count, the plan's last l1 violation.
+    """
     rows, cols = prob.f > 0, prob.g > 0
     C, f, g = prob.C[np.ix_(rows, cols)], prob.f[rows], prob.g[cols]
     phi, psi = np.zeros(f.size), np.zeros(g.size)
@@ -50,7 +56,25 @@ def scipy_sinkhorn(prob, eps, tol, max_iters):
     plan[np.ix_(rows, cols)] = X
     phi_full, psi_full = np.zeros(prob.m), np.zeros(prob.n)
     phi_full[rows], psi_full[cols] = phi, psi
-    return plan, phi_full, psi_full, iterations
+    return plan, phi_full, psi_full, iterations, err
+
+
+def assert_same_bits(prob, cfg, ref_max_iters=None):
+    """sinkhorn_solve under cfg matches the reference to the bit.
+
+    The reference stops by tolerance or by ref_max_iters (cfg.max_iters if
+    None), the pass a time-limit exit is expected at.
+    """
+    plan, (phi, psi), report = sinkhorn_solve(prob, cfg)
+    max_iters = cfg.max_iters if ref_max_iters is None else ref_max_iters
+    ref_plan, ref_phi, ref_psi, ref_iterations, ref_err = scipy_sinkhorn(
+        prob, cfg.penalty, cfg.tol, max_iters)
+    assert report.iterations == ref_iterations
+    assert np.array_equal(plan, ref_plan)
+    assert np.array_equal(phi, ref_phi)
+    assert np.array_equal(psi, ref_psi)
+    assert report.final_relative_kkt == ref_err
+    return report
 
 
 @st.composite
@@ -88,12 +112,7 @@ class TestSinkhornSolve:
         prob = make_problem(C, f, g)
         eps = float(10.0 ** rng.uniform(-2.5, -0.5))
         cfg = SinkhornConfig(penalty=eps, tol=1e-9, max_iters=5000)
-        plan, (phi, psi), report = sinkhorn_solve(prob, cfg)
-        ref_plan, ref_phi, ref_psi, ref_iterations = scipy_sinkhorn(prob, eps, 1e-9, 5000)
-        assert report.iterations == ref_iterations
-        assert np.array_equal(plan, ref_plan)
-        assert np.array_equal(phi, ref_phi)
-        assert np.array_equal(psi, ref_psi)
+        assert_same_bits(prob, cfg)
 
     def test_zero_cost_gives_product_coupling(self):
         rng = np.random.default_rng(0)
@@ -199,7 +218,7 @@ class TestSinkhornSolve:
         np.testing.assert_array_equal(phi, 0.0)
         np.testing.assert_allclose(plan, 0.25, rtol=0, atol=1e-15)
 
-    def test_one_plan_per_iteration(self, monkeypatch):
+    def test_plan_formed_at_start_and_exit(self, monkeypatch):
         calls = []
 
         def counted(*args):
@@ -208,10 +227,48 @@ class TestSinkhornSolve:
 
         monkeypatch.setattr(otsolve.sinkhorn, "_plan", counted)
         prob = random_problem(np.random.default_rng(3), 4, 5)
-        for max_iters in (7, 100_000):
+        for max_iters, termination in ((7, "iteration_limit"), (100_000, "tolerance")):
             calls.clear()
             _, _, report = sinkhorn_solve(prob, SinkhornConfig(penalty=0.1, max_iters=max_iters))
-            assert len(calls) == report.iterations + 1
+            assert report.termination_reason == termination and report.iterations >= 7
+            assert len(calls) == 2
+        calls.clear()
+        start = make_problem(np.full((2, 2), np.log(4.0)), [0.5, 0.5], [0.5, 0.5])
+        _, _, report = sinkhorn_solve(start, SinkhornConfig(penalty=1.0))
+        assert report.iterations == 0 and len(calls) == 1
+
+    @pytest.mark.parametrize("max_iters", [1, 2, 7])
+    def test_iteration_limit_exit_same_bits(self, max_iters):
+        prob = random_problem(np.random.default_rng(8), 6, 5)
+        report = assert_same_bits(prob, SinkhornConfig(penalty=0.05, tol=1e-12,
+                                                       max_iters=max_iters))
+        assert report.termination_reason == "iteration_limit"
+        assert report.iterations == max_iters
+
+    @pytest.mark.parametrize("passes", [0, 1, 2, 7])
+    def test_time_limit_exit_same_bits(self, passes, monkeypatch):
+        # the clock reads 0, 1, 2, ...: the start, then one read per pass
+        ticks = itertools.count()
+        monkeypatch.setattr(otsolve.sinkhorn, "time",
+                            SimpleNamespace(perf_counter=lambda: float(next(ticks))))
+        prob = random_problem(np.random.default_rng(9), 5, 6)
+        cfg = SinkhornConfig(penalty=0.05, tol=1e-12, time_limit_s=passes + 0.5)
+        report = assert_same_bits(prob, cfg, ref_max_iters=passes)
+        assert report.termination_reason == "time_limit"
+        assert report.iterations == passes
+
+    @pytest.mark.parametrize("kind, norm, eps, iterations", [
+        ("cauchy_like", "l1", 0.05, 310),
+        ("shapes", "l2", 0.003, 3625),
+        ("shapes", "linf", 0.003, 1859),
+    ])
+    def test_benchmark_problems_same_bits(self, kind, norm, eps, iterations):
+        from otsolve import grid_problem
+
+        prob = grid_problem(kind, 16, norm, seed=11)
+        report = assert_same_bits(prob, SinkhornConfig(penalty=eps, tol=1e-4))
+        assert report.termination_reason == "tolerance"
+        assert report.iterations == iterations
 
     @pytest.mark.parametrize("C", [
         [[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]],  # used to run to max_iters
@@ -242,6 +299,23 @@ class TestSinkhornSolve:
                 plan, (phi, psi), _ = sinkhorn_solve(p, SinkhornConfig(penalty=eps, max_iters=50))
             assert np.all(np.isfinite(plan))
             assert np.all(np.isfinite(phi)) and np.all(np.isfinite(psi))
+
+    def test_extreme_weights_and_penalties_same_bits(self):
+        # Each row test exp is a row mass, at most 1, so it cannot overflow;
+        # at the smallest penalty it can pass falsely, and the plan decides.
+        rng = np.random.default_rng(7)
+        prob = random_problem(rng, 4, 5)
+        tiny = make_problem(prob.C * 1e-300, prob.f, prob.g)
+        subnormal_row = make_problem(prob.C, [1e-310, 1 / 3, 1 / 3, 1 / 3], prob.g)
+        assert subnormal_row.f[0] == 1e-310
+        c_max = float(np.abs(prob.C).max())
+        cases = [(prob, 32.0 * c_max / np.finfo(np.float64).max, 50),
+                 (tiny, float(np.finfo(np.float64).tiny), 50)]
+        cases += [(subnormal_row, eps, 2000) for eps in (0.1, 0.01, 0.001)]
+        for p, eps, max_iters in cases:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert_same_bits(p, SinkhornConfig(penalty=eps, max_iters=max_iters))
 
     def test_config_validation(self):
         for penalty in (0.0, float("inf")):
