@@ -257,8 +257,11 @@ def load_instance(path) -> OTProblem:
     costs if explicit, then one line of ``m`` row-marginal weights and one
     line of ``n`` column-marginal weights.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh]
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = [ln.strip() for ln in fh]
+    except UnicodeDecodeError as exc:
+        raise InstanceFormatError("instance file is not UTF-8 text") from exc
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
     if len(lines) < 4:
         raise InstanceFormatError("instance file is truncated")

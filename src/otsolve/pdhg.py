@@ -94,16 +94,12 @@ class RestartRecord:
     point: Iterate
 
 
-def pdhg_step(
-    prob: OTProblem, it: Iterate, tau: float, sigma: float, slack: np.ndarray | None = None
-) -> Iterate:
+def pdhg_step(prob: OTProblem, it: Iterate, tau: float, sigma: float, slack: np.ndarray) -> Iterate:
     """One primal-dual step: projected primal descent, extrapolated dual ascent.
 
-    ``slack``, if given, must be ``dual_slack(prob, it)``. The step overwrites
-    it with the extrapolated plan 2 X_next - X, so it is scratch afterwards.
+    ``slack`` must be ``dual_slack(prob, it)``. The step overwrites it with
+    the extrapolated plan 2 X_next - X, so it is scratch afterwards.
     """
-    if slack is None:
-        slack = dual_slack(prob, it)
     # X + tau S has the bits of X - tau (C - p 1^T - 1 q^T): negation is exact.
     X_next = tau * slack
     X_next += it.X
@@ -116,15 +112,13 @@ def pdhg_step(
     return Iterate(X_next, p_next, q_next)
 
 
-def stepsize_bound(
-    it: Iterate, it_next: Iterate, omega: float, work: np.ndarray | None = None
-) -> float:
+def stepsize_bound(it: Iterate, it_next: Iterate, omega: float, work: np.ndarray) -> float:
     """Largest admissible step-size scale for the displacement pair.
 
     Ratio of the omega-weighted squared displacement norm to twice the
     absolute bilinear coupling of the primal and dual displacements;
     infinite when the coupling vanishes. The plan displacement is written
-    into ``work`` if given.
+    into ``work``, a plan-shaped array.
     """
     dX = np.subtract(it_next.X, it.X, out=work)
     dp = it_next.p - it.p
@@ -236,15 +230,22 @@ def solve(
     starting point and then with that of each restart, as they happen.
     ``solve`` never writes into an iterate, ``initial`` included; the one it
     returns may be ``initial`` itself or share arrays with a record's ``point``.
+    A mis-shaped ``initial``, or one with a non-finite entry, is a ``ValueError``.
     """
     if config is None:
         config = SolverConfig()
     start_time = time.perf_counter()
-    it = initial if initial is not None else Iterate.zeros(prob.m, prob.n)
-    shapes = (np.shape(it.X), np.shape(it.p), np.shape(it.q))
-    expected = ((prob.m, prob.n), (prob.m,), (prob.n,))
-    if shapes != expected:
-        raise ValueError(f"initial (X, p, q) has shapes {shapes}, expected {expected}")
+    if initial is None:
+        it = Iterate.zeros(prob.m, prob.n)
+    else:
+        it = initial
+        shapes = (np.shape(it.X), np.shape(it.p), np.shape(it.q))
+        expected = ((prob.m, prob.n), (prob.m,), (prob.n,))
+        if shapes != expected:
+            raise ValueError(f"initial (X, p, q) has shapes {shapes}, expected {expected}")
+        for name, block in (("X", it.X), ("p", it.p), ("q", it.q)):
+            if not np.all(np.isfinite(block)):
+                raise ValueError(f"initial {name} has a non-finite entry")
     eta, omega = default_stepsize(prob), 1.0
     adaptive = config.restart_mode == ADAPTIVE
     history: list[tuple[int, float]] = []  # (length, kkt) of every record

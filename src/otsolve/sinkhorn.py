@@ -3,9 +3,10 @@
 Alternating dual potential updates computed entirely in the log domain. A
 half-update writes (psi - C) / eps, or (phi - C) / eps, into a C-shaped work
 buffer that every half-update and plan of a solve reuses, and reduces it
-with a max-shifted log-sum-exp of one exp per entry that gives the bits of
-``scipy.special.logsumexp``. Rows of the implied plan match the row marginal
-exactly right after a row-potential update, and likewise for columns.
+with the max-shifted log-sum-exp, log sum exp(a - max) + max, of one exp per
+entry and within a few ulps of the exact value (see ``_logsumexp``). Rows of
+the implied plan match the row marginal exactly right after a row-potential
+update, and likewise for columns.
 
 So the plan exists only at the start and at the exit. After a column update
 row i of the plan sums to f_i exp((phi_i - phi+_i) / eps), where phi+ is the
@@ -61,19 +62,16 @@ _HEADROOM = 16.0
 def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
     """log(sum(exp(a), axis)) for finite ``a``, computed in place in ``a``.
 
-    Follows ``scipy.special.logsumexp``: the terms equal to the maximum are
-    taken out of the sum and counted, so the result, log1p(rest / count) +
-    log(count) + max, has the same bits as scipy's. (scipy guards the
-    division for a zero sum; here rest >= 0 and count >= 1, so 0 / count is
-    the same +0.) ``a`` is overwritten.
+    The max-shifted form log(sum(exp(a - max))) + max: every exponent is at
+    most 0 and the sum of n terms lies in [1, n], so nothing overflows and
+    the result is within a few ulps of max(1, max|a|) of the exact value
+    (at most 4 from ``scipy.special.logsumexp`` on random lanes of up to 40
+    entries). ``a`` is overwritten.
     """
     a_max = a.max(axis=axis, keepdims=True)
-    ties = a == a_max
-    count = ties.sum(axis=axis, keepdims=True, dtype=np.float64)
     a -= a_max
-    np.putmask(a, ties, -np.inf)
-    s = np.exp(a, out=a).sum(axis=axis, keepdims=True) / count
-    return (np.log1p(s) + np.log(count) + a_max).squeeze(axis)
+    s = np.exp(a, out=a).sum(axis=axis, keepdims=True)
+    return (np.log(s) + a_max).squeeze(axis)
 
 
 def _plan(phi: np.ndarray, psi: np.ndarray, C: np.ndarray, eps: float,

@@ -52,7 +52,7 @@ def grid_cost_reference(r: int, kind: str) -> np.ndarray:
     return diff.max(axis=2)
 
 
-def unshared_pdhg_step(prob, it, tau, sigma, slack=None):
+def unshared_pdhg_step(prob, it, tau, sigma, slack):
     X_next = it.X - tau * (prob.C - apply_At(it.p, it.q))
     np.maximum(X_next, 0.0, out=X_next)
     extra = 2.0 * X_next - it.X
@@ -60,7 +60,7 @@ def unshared_pdhg_step(prob, it, tau, sigma, slack=None):
     return Iterate(X_next, it.p + sigma * (prob.f - rows), it.q + sigma * (prob.g - cols))
 
 
-def unshared_stepsize_bound(it, it_next, omega, work=None):
+def unshared_stepsize_bound(it, it_next, omega, work):
     dX = it_next.X - it.X
     dp = it_next.p - it.p
     dq = it_next.q - it.q

@@ -23,6 +23,7 @@ from otsolve import (
     solve,
 )
 from otsolve.cli import main as cli_main
+from otsolve.kkt import dual_slack
 from otsolve.operator import apply_A, apply_At
 from otsolve.pdhg import FIXED_BETA, default_stepsize, pdhg_step
 
@@ -188,7 +189,7 @@ class TestCriterion04VectorizationEquivalence:
                 x_new = np.maximum(x - eta * (c - A.T @ y), 0.0)
                 y = y + eta * (b - A @ (2.0 * x_new - x))
                 x = x_new
-                it = pdhg_step(prob, it, eta, eta)
+                it = pdhg_step(prob, it, eta, eta, dual_slack(prob, it))
                 assert np.max(np.abs(it.X.ravel() - x)) <= 1e-10
                 assert np.max(np.abs(np.concatenate([it.p, it.q]) - y)) <= 1e-10
         elapsed = time.perf_counter() - t0

@@ -125,6 +125,13 @@ class TestRunBench:
         assert len(summary.cells) == 1
         assert len(summary.missing) == 2
 
+    def test_non_utf8_instance_listed(self, instance_dir, tmp_path):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"\xff\xfe2 2\n")
+        summary = run_bench([instance_dir / "wn3.txt", bad], methods_csv="pdot", tol=1e-4)
+        assert [c.instance for c in summary.cells] == [str(instance_dir / "wn3.txt")]
+        assert summary.missing == [f"{bad}: instance file is not UTF-8 text"]
+
     def test_instance_too_large_to_build_listed(self, instance_dir, monkeypatch):
         # a 128x128 grid file makes grid_cost ask for a 4.3 GB temporary; the
         # sweep records the MemoryError and goes on

@@ -108,6 +108,16 @@ class TestSolve:
         assert "error" in capsys.readouterr().err
 
 
+    def test_non_utf8_instance_errors(self, tmp_path, capsys):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(b"\xff\xfe2 2\n")
+        rc = main([
+            "solve", "--instance", str(path), "--method", "pdot",
+            "--out", str(tmp_path / "r.json"),
+        ])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: instance file is not UTF-8 text\n"
+
     def test_overflowing_marginal_errors(self, tmp_path, capsys):
         path = tmp_path / "big.txt"
         path.write_text("2 2\ncost explicit\n1 2\n2 1\n1e308 1e308\n0.5 0.5\n")

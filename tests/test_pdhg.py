@@ -1,6 +1,7 @@
 import math
 import re
 import tracemalloc
+import warnings
 from dataclasses import fields
 
 import numpy as np
@@ -53,7 +54,7 @@ def record_steps(monkeypatch):
     calls = []
     real = otsolve.pdhg.pdhg_step
 
-    def step(prob, it, tau, sigma, slack=None):
+    def step(prob, it, tau, sigma, slack):
         out = real(prob, it, tau, sigma, slack)
         calls.append((out, math.sqrt(tau * sigma)))
         return out
@@ -64,20 +65,21 @@ def record_steps(monkeypatch):
 
 def fixed_bound(monkeypatch, value):
     """Make the line search see ``value`` as the bound of every trial step."""
-    monkeypatch.setattr(otsolve.pdhg, "stepsize_bound", lambda it, nxt, omega, work=None: value)
+    monkeypatch.setattr(otsolve.pdhg, "stepsize_bound", lambda it, nxt, omega, work: value)
 
 
 class TestPdhgStep:
     def test_fixed_point_at_optimum(self):
         prob, it = two_by_two_optimal()
-        nxt = pdhg_step(prob, it, tau=0.2, sigma=0.2)
+        nxt = pdhg_step(prob, it, 0.2, 0.2, dual_slack(prob, it))
         np.testing.assert_allclose(nxt.X, it.X, rtol=0, atol=1e-14)
         np.testing.assert_allclose(nxt.p, it.p, rtol=0, atol=1e-14)
         np.testing.assert_allclose(nxt.q, it.q, rtol=0, atol=1e-14)
 
     def test_from_zero_start(self):
         prob, _ = two_by_two_optimal()
-        nxt = pdhg_step(prob, Iterate.zeros(2, 2), tau=0.1, sigma=0.1)
+        start = Iterate.zeros(2, 2)
+        nxt = pdhg_step(prob, start, 0.1, 0.1, dual_slack(prob, start))
         np.testing.assert_array_equal(nxt.X, np.zeros((2, 2)))
         np.testing.assert_allclose(nxt.p, 0.1 * prob.f, rtol=0, atol=1e-16)
         np.testing.assert_allclose(nxt.q, 0.1 * prob.g, rtol=0, atol=1e-16)
@@ -94,7 +96,7 @@ class TestPdhgStep:
                 prob, it.X.ravel().copy(), np.concatenate([it.p, it.q]), eta, 50
             )
             for x_ref, y_ref in dense:
-                it = pdhg_step(prob, it, eta, eta)
+                it = pdhg_step(prob, it, eta, eta, dual_slack(prob, it))
                 np.testing.assert_allclose(it.X.ravel(), x_ref, rtol=0, atol=1e-10)
                 np.testing.assert_allclose(
                     np.concatenate([it.p, it.q]), y_ref, rtol=0, atol=1e-10
@@ -110,11 +112,11 @@ class TestPdhgStep:
             it = Iterate(rng.integers(0, 2, (m, n)) * rng.random((m, n)),
                          rng.integers(-2, 3, m).astype(float), rng.integers(-2, 3, n).astype(float))
             tau, sigma = rng.random(2) + 0.01
-            expected = unshared_pdhg_step(prob, it, tau, sigma)
+            expected = unshared_pdhg_step(prob, it, tau, sigma, None)
             slack = dual_slack(prob, it)
-            for out in (pdhg_step(prob, it, tau, sigma), pdhg_step(prob, it, tau, sigma, slack)):
-                for block in ("X", "p", "q"):
-                    assert getattr(out, block).tobytes() == getattr(expected, block).tobytes()
+            out = pdhg_step(prob, it, tau, sigma, slack)
+            for block in ("X", "p", "q"):
+                assert getattr(out, block).tobytes() == getattr(expected, block).tobytes()
             assert slack.tobytes() == (2.0 * expected.X - it.X).tobytes()
 
 
@@ -134,7 +136,7 @@ class TestStepSize:
     def test_hand_evaluated_bound(self):
         it = Iterate.zeros(2, 2)
         nxt = Iterate(np.array([[1.0, 0.0], [0.0, 0.0]]), np.array([1.0, 0.0]), np.zeros(2))
-        assert stepsize_bound(it, nxt, omega=1.0) == pytest.approx(1.0, abs=1e-15)
+        assert stepsize_bound(it, nxt, 1.0, np.empty((2, 2))) == pytest.approx(1.0, abs=1e-15)
 
     def test_halving_until_bound(self, monkeypatch):
         prob = random_problem(np.random.default_rng(4), 3, 4)
@@ -165,7 +167,7 @@ class TestStepSize:
         trials = []
         real = otsolve.pdhg.pdhg_step
 
-        def step(prob, it, tau, sigma, slack=None):
+        def step(prob, it, tau, sigma, slack):
             trials.append((tau, sigma))
             return real(prob, it, tau, sigma, slack)
 
@@ -284,6 +286,24 @@ class TestSolve:
         with pytest.raises(ValueError, match=expected):
             solve(prob, initial=Iterate(X, p, q))
 
+    @pytest.mark.parametrize("mode", [ADAPTIVE, FIXED_BETA])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("block", ["X", "p", "q"])
+    def test_non_finite_initial_rejected(self, block, value, mode, monkeypatch):
+        # rejected before any step: in the loop, adaptive mode would report a
+        # failed line search after 80 halvings, fixed mode a non-finite iterate
+        def no_step(*args):
+            raise AssertionError("a step was taken")
+
+        monkeypatch.setattr(otsolve.pdhg, "pdhg_step", no_step)
+        prob = random_problem(np.random.default_rng(2), 3, 4)
+        start = random_iterate(np.random.default_rng(5), 3, 4)
+        getattr(start, block)[-1] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=rf"^initial {block} has a non-finite entry$"):
+                solve(prob, SolverConfig(restart_mode=mode), initial=start)
+
     @pytest.mark.parametrize("termination, cfg, warm", [
         ("tolerance", SolverConfig(tol=1e-6), False),
         ("iteration_limit", SolverConfig(tol=1e-14, max_iters=10), False),
@@ -316,7 +336,7 @@ class TestSolve:
         bounds = {}
         real_bound = otsolve.pdhg.stepsize_bound
 
-        def bound(it, nxt, omega, work=None):
+        def bound(it, nxt, omega, work):
             bounds[id(nxt)] = real_bound(it, nxt, omega, work)
             return bounds[id(nxt)]
 
@@ -447,7 +467,7 @@ class TestSolve:
     def test_non_finite_iterate_fails(self, monkeypatch):
         real = otsolve.pdhg.pdhg_step
 
-        def step(prob, it, tau, sigma, slack=None):
+        def step(prob, it, tau, sigma, slack):
             out = real(prob, it, tau, sigma, slack)
             out.q[-1] = math.nan
             return out
