@@ -1,25 +1,28 @@
 """Log-domain entropically regularized baseline solver.
 
-Alternating dual potential updates computed entirely in the log domain. A
-half-update writes (psi - C) / eps, or (phi - C) / eps, into a C-shaped work
-buffer that every half-update and plan of a solve reuses, and reduces it
-with the max-shifted log-sum-exp, log sum exp(a - max) + max, of one exp per
-entry and within a few ulps of the exact value (see ``_logsumexp``). Rows of
-the implied plan match the row marginal exactly right after a row-potential
-update, and likewise for columns.
+Alternating dual potential updates, in the log domain and in units of the
+penalty eps (Peyre & Cuturi, arXiv:1803.00567, 4.4): a solve divides its
+copy of the cost once, K = C / eps, and holds the potentials as a = phi / eps
+and b = psi / eps until the exit multiplies them by eps. A half-update
+writes b - K, or a - K, into a K-shaped work buffer that every half-update
+and plan of a solve reuses, and reduces it with the max-shifted log-sum-exp
+(see ``_logsumexp``). The plan is exp(a + b - K); its rows match the row
+marginal exactly right after a row update, and likewise for columns.
 
 So the plan exists only at the start and at the exit. After a column update
-row i of the plan sums to f_i exp((phi_i - phi+_i) / eps), where phi+ is the
-next row update, which each pass needs anyway: the l1 test of every later
-pass costs O(m). Its rounding grows like ulp * max|C| / eps (about 1e-13 at
-penalty 0.001 on a unit cost), far below the tolerances in use. A pass of
-that test is confirmed on the plan, which the exit needs anyway, so a
-tolerance exit means the same as when every pass formed the plan, and the
-reported violation is the returned plan's, both marginals included.
+row i of the plan sums to f_i exp(a_i - a+_i), where a+ is the next row
+update, which each pass needs anyway: the l1 test of every later pass costs
+O(m). a and a+ are rounded to a few ulps of max|K| = max|C| / eps, so the
+test's exponent is off by about 1e-13 at penalty 0.001 on a unit cost, far
+below the tolerances in use. A pass of that test is confirmed on the plan,
+which the exit needs anyway, so a tolerance exit means the same as when
+every pass formed the plan, and the reported violation is the returned
+plan's, both marginals included.
 
 A solve fails before its first pass when the penalty is subnormal (the
-potentials are held scaled by eps, which then cannot resolve them) or when
-``_HEADROOM * max|C| / eps``, a bound on every scaled quantity, overflows.
+exported eps * a underflows for every a of order one) or when
+``_HEADROOM * max|C| / eps``, a bound on every quantity in units of eps,
+overflows.
 
 Zero-mass rows and columns are eliminated up front (their log weights
 diverge) and reinserted as zero rows/columns of the plan afterwards.
@@ -53,9 +56,9 @@ class SinkhornConfig:
             raise ValueError("tol, max_iters and time_limit_s must be positive")
 
 
-# |phi|, |psi| and |phi + psi - C| reached 2.3 max|C| at most over 300 random
-# problems of 500 iterations each, so every scaled quantity, max-shifted
-# exponents included, stays within 7 max|C| / eps; 16 leaves a margin.
+# |a|, |b| and |a + b - K| reached 2.3 max|K| at most over 300 random problems
+# of 500 iterations each, so every quantity in units of eps, max-shifted
+# exponents included, stays within 7 max|K| = 7 max|C| / eps; 16 leaves a margin.
 _HEADROOM = 16.0
 
 
@@ -74,11 +77,10 @@ def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
     return (np.log(s) + a_max).squeeze(axis)
 
 
-def _plan(phi: np.ndarray, psi: np.ndarray, C: np.ndarray, eps: float,
-          out: np.ndarray) -> np.ndarray:
-    np.add(phi[:, None], psi[None, :], out=out)
-    out -= C
-    out /= eps
+def _plan(a: np.ndarray, b: np.ndarray, K: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """exp(a_i + b_j - K_ij), potentials and cost in units of eps, formed in ``out``."""
+    np.add(a[:, None], b[None, :], out=out)
+    out -= K
     return np.exp(out, out=out)
 
 
@@ -86,18 +88,14 @@ def _l1_violation(X: np.ndarray, f: np.ndarray, g: np.ndarray) -> float:
     return float(np.abs(X.sum(axis=1) - f).sum() + np.abs(X.sum(axis=0) - g).sum())
 
 
-def _update_phi(psi: np.ndarray, C: np.ndarray, log_f: np.ndarray, eps: float,
-                work: np.ndarray) -> np.ndarray:
-    z = np.subtract(psi[None, :], C, out=work)
-    z /= eps
-    return eps * log_f - eps * _logsumexp(z, axis=1)
+def _update_phi(b: np.ndarray, K: np.ndarray, log_f: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """a = log f - log sum_j exp(b_j - K_ij), in units of eps; ``work`` is overwritten."""
+    return log_f - _logsumexp(np.subtract(b[None, :], K, out=work), axis=1)
 
 
-def _update_psi(phi: np.ndarray, C: np.ndarray, log_g: np.ndarray, eps: float,
-                work: np.ndarray) -> np.ndarray:
-    z = np.subtract(phi[:, None], C, out=work)
-    z /= eps
-    return eps * log_g - eps * _logsumexp(z, axis=0)
+def _update_psi(a: np.ndarray, K: np.ndarray, log_g: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """b = log g - log sum_i exp(a_i - K_ij), in units of eps; ``work`` is overwritten."""
+    return log_g - _logsumexp(np.subtract(a[:, None], K, out=work), axis=0)
 
 
 def sinkhorn_solve(
@@ -119,21 +117,22 @@ def sinkhorn_solve(
     col_mask = prob.g > 0
     f = prob.f[row_mask]
     g = prob.g[col_mask]
-    C = prob.C[np.ix_(row_mask, col_mask)]
+    K = prob.C[np.ix_(row_mask, col_mask)]  # a copy, so it can be divided in place
     log_f = np.log(f)
     log_g = np.log(g)
-    c_max = float(C.max())
+    c_max = float(K.max())
     if eps < np.finfo(np.float64).tiny or not math.isfinite(_HEADROOM * c_max / eps):
         raise RuntimeError(f"numerical failure: penalty {eps!r} too small for max |C| {c_max!r}")
+    K /= eps
 
-    # One C-shaped buffer holds the plan X, formed at the start and at the
+    # One K-shaped buffer holds the plan X, formed at the start and at the
     # exit, until the next half-update overwrites it.
-    work = np.empty_like(C)
-    phi = np.zeros(f.size)
-    psi = np.zeros(g.size)
+    work = np.empty_like(K)
+    a = np.zeros(f.size)
+    b = np.zeros(g.size)
     iterations = 0
-    # psi = 0 is no column update, so the start checks both marginals.
-    X = _plan(phi, psi, C, eps, work)
+    # b = 0 is no column update, so the start checks both marginals.
+    X = _plan(a, b, K, work)
     feasibility = _l1_violation(X, f, g)
     while True:
         if feasibility <= cfg.tol:
@@ -145,30 +144,29 @@ def sinkhorn_solve(
         if time.perf_counter() - start_time > cfg.time_limit_s:
             termination = "time_limit"
             break
-        phi = _update_phi(psi, C, log_f, eps, work) if iterations == 0 else phi_next
-        psi = _update_psi(phi, C, log_g, eps, work)
+        a = _update_phi(b, K, log_f, work) if iterations == 0 else a_next
+        b = _update_psi(a, K, log_g, work)
         iterations += 1
-        if not (np.all(np.isfinite(phi)) and np.all(np.isfinite(psi))):
+        if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
             raise RuntimeError("numerical failure: non-finite potential")
         # The columns are exact now. Each exp is a row mass, at most 1.
-        phi_next = _update_phi(psi, C, log_f, eps, work)
-        feasibility = float(np.abs(np.exp(log_f + (phi - phi_next) / eps) - f).sum())
+        a_next = _update_phi(b, K, log_f, work)
+        feasibility = float(np.abs(np.exp(log_f + a - a_next) - f).sum())
         if feasibility <= cfg.tol:
-            # An eps too small to resolve phi - phi_next can pass the row
-            # test falsely (at 1e-307 it read 0 for a plan 8 off), so the
-            # plan decides.
-            X = _plan(phi, psi, C, eps, work)
+            # The row test rounds to ulps of max|K|, which at the smallest
+            # penalties exceed any tol, so it can pass falsely; the plan decides.
+            X = _plan(a, b, K, work)
             feasibility = _l1_violation(X, f, g)
 
     if termination != "tolerance" and iterations:  # a limit exit after a pass
-        X = _plan(phi, psi, C, eps, work)
+        X = _plan(a, b, K, work)
         feasibility = _l1_violation(X, f, g)
     plan = np.zeros((prob.m, prob.n))
     plan[np.ix_(row_mask, col_mask)] = X
     phi_full = np.zeros(prob.m)
     psi_full = np.zeros(prob.n)
-    phi_full[row_mask] = phi
-    psi_full[col_mask] = psi
+    phi_full[row_mask] = eps * a
+    psi_full[col_mask] = eps * b
 
     elapsed = time.perf_counter() - start_time
     report = finished_report(

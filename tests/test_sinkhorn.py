@@ -8,7 +8,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.special import logsumexp
@@ -43,25 +43,27 @@ def lse(a, axis):
 def log_domain_sinkhorn(prob, eps, tol, max_iters, logsumexp_fn):
     """Reference: the log-domain loop with logsumexp_fn(a, axis) half-updates.
 
-    It forms the plan on every pass and returns, besides the plan, the
-    potentials and the iteration count, the plan's last l1 violation.
+    The cost and the potentials a = phi / eps, b = psi / eps are held in
+    units of eps. It forms the plan on every pass and returns, besides the
+    plan, the potentials eps * a and eps * b and the iteration count, the
+    plan's last l1 violation.
     """
     rows, cols = prob.f > 0, prob.g > 0
-    C, f, g = prob.C[np.ix_(rows, cols)], prob.f[rows], prob.g[cols]
-    phi, psi = np.zeros(f.size), np.zeros(g.size)
+    K, f, g = prob.C[np.ix_(rows, cols)] / eps, prob.f[rows], prob.g[cols]
+    a, b = np.zeros(f.size), np.zeros(g.size)
     iterations = 0
     while True:
-        X = np.exp((phi[:, None] + psi[None, :] - C) / eps)
+        X = np.exp(a[:, None] + b[None, :] - K)
         err = np.abs(X.sum(axis=1) - f).sum() + np.abs(X.sum(axis=0) - g).sum()
         if err <= tol or iterations == max_iters:
             break
-        phi = eps * np.log(f) - eps * logsumexp_fn((psi[None, :] - C) / eps, axis=1)
-        psi = eps * np.log(g) - eps * logsumexp_fn((phi[:, None] - C) / eps, axis=0)
+        a = np.log(f) - logsumexp_fn(b[None, :] - K, axis=1)
+        b = np.log(g) - logsumexp_fn(a[:, None] - K, axis=0)
         iterations += 1
     plan = np.zeros(prob.C.shape)
     plan[np.ix_(rows, cols)] = X
     phi_full, psi_full = np.zeros(prob.m), np.zeros(prob.n)
-    phi_full[rows], psi_full[cols] = phi, psi
+    phi_full[rows], psi_full[cols] = eps * a, eps * b
     return plan, phi_full, psi_full, iterations, err
 
 
@@ -114,6 +116,9 @@ def lse_inputs(draw):
 
 
 class TestLogSumExp:
+    # No shrink phase: shrinking arrays of up to 40x40 entries one example at
+    # a time took about 5 minutes to report a failure.
+    @settings(phases=set(Phase) - {Phase.shrink})
     @given(lse_inputs())
     def test_textbook_bits_within_ulps_of_scipy(self, case):
         a, axis = case
@@ -177,17 +182,31 @@ class TestSinkhornSolve:
     def test_row_feasibility_exact_after_phi_update(self):
         rng = np.random.default_rng(3)
         prob = random_problem(rng, 5, 4)
-        eps = 0.1
+        K = prob.C / 0.1  # the cost in units of the penalty, as the solver holds it
         log_f, log_g = np.log(prob.f), np.log(prob.g)
-        psi = np.zeros(4)
-        work = np.empty_like(prob.C)  # shared like the solver's: X lives until the next update
+        b = np.zeros(4)
+        work = np.empty_like(K)  # shared like the solver's: X lives until the next update
         for _ in range(3):
-            phi = _update_phi(psi, prob.C, log_f, eps, work)
-            X = _plan(phi, psi, prob.C, eps, work)
+            a = _update_phi(b, K, log_f, work)
+            X = _plan(a, b, K, work)
             np.testing.assert_allclose(X.sum(axis=1), prob.f, rtol=0, atol=1e-12)
-            psi = _update_psi(phi, prob.C, log_g, eps, work)
-            X = _plan(phi, psi, prob.C, eps, work)
+            b = _update_psi(a, K, log_g, work)
+            X = _plan(a, b, K, work)
             np.testing.assert_allclose(X.sum(axis=0), prob.g, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("zero_mass", [False, True])
+    def test_inputs_not_written(self, zero_mass):
+        # The solve divides its copy of the cost in place; with every marginal
+        # entry positive that copy is all of C.
+        prob = random_problem(np.random.default_rng(10), 5, 6)
+        if zero_mass:
+            prob = make_problem(prob.C, [0.2, 0.0, 0.3, 0.5, 0.0], [0.0, 0.1, 0.2, 0.3, 0.0, 0.4])
+        inputs = (prob.C, prob.f, prob.g)
+        before = [x.tobytes() for x in inputs]
+        for max_iters, termination in ((100_000, "tolerance"), (3, "iteration_limit")):
+            _, _, report = sinkhorn_solve(prob, SinkhornConfig(penalty=0.1, max_iters=max_iters))
+            assert report.termination_reason == termination
+            assert [x.tobytes() for x in inputs] == before
 
     def test_zero_marginals_eliminated(self):
         prob = make_problem(
