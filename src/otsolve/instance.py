@@ -213,13 +213,17 @@ def _format_vector(v: np.ndarray) -> str:
     return " ".join(str(x) for x in v.tolist())
 
 
+def _grid_side(m: int, n: int) -> int | None:
+    """r if an m x n cost can be a grid cost, that is m = n = r^2; else None."""
+    r = math.isqrt(m)
+    return r if m == n == r * r else None
+
+
 def _grid_kind(prob: OTProblem) -> str | None:
     """The first grid cost kind whose entries equal the cost's, if any."""
-    r = math.isqrt(prob.m)
-    if prob.m != prob.n or r * r != prob.m:
-        return None
-    matches = (k for k in GRID_COST_KINDS if np.array_equal(prob.C, grid_cost(r, k).entries))
-    return next(matches, None)
+    r = _grid_side(prob.m, prob.n)
+    kinds = GRID_COST_KINDS if r is not None else ()
+    return next((k for k in kinds if np.array_equal(prob.C, grid_cost(r, k).entries)), None)
 
 
 def save_instance(prob: OTProblem, path) -> None:
@@ -259,14 +263,11 @@ def load_instance(path) -> OTProblem:
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            lines = [ln.strip() for ln in fh]
+            lines = [ln for ln in map(str.strip, fh) if ln and not ln.startswith("#")]
     except UnicodeDecodeError as exc:
         raise InstanceFormatError("instance file is not UTF-8 text") from exc
-    lines = [ln for ln in lines if ln and not ln.startswith("#")]
-    if len(lines) < 4:
-        raise InstanceFormatError("instance file is truncated")
-
-    dims = lines[0].split()
+    # A missing header line reads as an empty one and fails its check below.
+    dims, cost_line = (ln.split() for ln in (lines + ["", ""])[:2])
     if len(dims) != 2:
         raise InstanceFormatError("first line must be 'm n'")
     try:
@@ -276,31 +277,23 @@ def load_instance(path) -> OTProblem:
     if m < 1 or n < 1:
         raise InstanceFormatError("dimensions must be positive")
 
-    cost_line = lines[1].split()
     if len(cost_line) != 2 or cost_line[0] != "cost":
         raise InstanceFormatError("second line must be 'cost <kind>'")
     kind = cost_line[1]
     if kind not in COST_KINDS:
         raise InstanceFormatError(f"unknown cost kind {kind!r}")
+    r = _grid_side(m, n)
+    if kind != EXPLICIT and r is None:
+        raise InstanceFormatError(f"grid cost requires m = n = r^2, got {m} x {n}")
 
-    pos = 2
+    expected = 4 + m if kind == EXPLICIT else 4
+    if len(lines) != expected:
+        raise InstanceFormatError(f"instance file has {len(lines)} lines, expected {expected}")
     if kind == EXPLICIT:
-        if len(lines) < 2 + m + 2:
-            raise InstanceFormatError("instance file is truncated")
-        rows = [_parse_floats(lines[pos + i].split(), n, f"cost row {i}") for i in range(m)]
+        rows = [_parse_floats(lines[2 + i].split(), n, f"cost row {i}") for i in range(m)]
         cost = CostMatrix(np.stack(rows))
-        pos += m
-    else:
-        if m != n:
-            raise InstanceFormatError("grid cost requires m == n")
-        r = math.isqrt(m)
-        if r * r != m:
-            raise InstanceFormatError("grid cost requires a perfect-square dimension")
-
-    if len(lines) != pos + 2:
-        raise InstanceFormatError("instance file has trailing or missing lines")
-    f = _parse_floats(lines[pos].split(), m, "row marginal")
-    g = _parse_floats(lines[pos + 1].split(), n, "column marginal")
+    f = _parse_floats(lines[-2].split(), m, "row marginal")
+    g = _parse_floats(lines[-1].split(), n, "column marginal")
     # The O(m^2) grid cost is built only once the whole file has checked out.
     if kind != EXPLICIT:
         cost = grid_cost(r, kind)

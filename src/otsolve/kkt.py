@@ -2,8 +2,10 @@
 
 The relative KKT error sums three blocks, each normalized by the scale of the
 corresponding problem data: the primal residual, the element-wise positive
-part of the dual violation, and the duality gap. It vanishes exactly at
-optimality and is the one number the restart and termination tests read.
+part of the dual violation, and the duality gap. It has no term for X >= 0:
+on a plan with no negative entry, as every iterate of the step and every
+``initial`` that ``solve`` accepts is, it vanishes exactly at optimality. It
+is the one number the restart and termination tests read.
 ``dual_slack`` builds the O(mn) part, which the solver also hands on to the
 next PDHG step.
 """

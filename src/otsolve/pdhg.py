@@ -230,7 +230,7 @@ def solve(
     starting point and then with that of each restart, as they happen.
     ``solve`` never writes into an iterate, ``initial`` included; the one it
     returns may be ``initial`` itself or share arrays with a record's ``point``.
-    A mis-shaped ``initial``, or one with a non-finite entry, is a ``ValueError``.
+    A mis-shaped ``initial``, or one with a non-finite entry or with X < 0, is a ``ValueError``.
     """
     if config is None:
         config = SolverConfig()
@@ -246,6 +246,8 @@ def solve(
         for name, block in (("X", it.X), ("p", it.p), ("q", it.q)):
             if not np.all(np.isfinite(block)):
                 raise ValueError(f"initial {name} has a non-finite entry")
+        if np.any(it.X < 0):  # kkt_error has no term for X >= 0, so it would not see one
+            raise ValueError("initial X has a negative entry")
     eta, omega = default_stepsize(prob), 1.0
     adaptive = config.restart_mode == ADAPTIVE
     history: list[tuple[int, float]] = []  # (length, kkt) of every record

@@ -16,17 +16,16 @@ ZERO_RESIDUAL_TOL = 1e-14
 
 
 def round_to_feasible(prob: OTProblem, X: np.ndarray) -> np.ndarray:
-    """Return a non-negative plan whose marginals match f and g exactly."""
+    """Return a non-negative plan whose marginals match f and g exactly.
+
+    ``X`` must have no negative entry. A row or column without mass keeps scale 1."""
     f, g = prob.f, prob.g
     row_sums = X.sum(axis=1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        row_scale = np.where(row_sums > 0, np.minimum(f / row_sums, 1.0), 1.0)
+    row_scale = np.minimum(np.divide(f, row_sums, out=np.ones_like(f), where=row_sums > 0), 1.0)
     X_tmp = row_scale[:, None] * X
 
     col_sums = X_tmp.sum(axis=0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        col_scale = np.where(col_sums > 0, np.minimum(g / col_sums, 1.0), 1.0)
-    X_tmp = X_tmp * col_scale[None, :]
+    X_tmp *= np.minimum(np.divide(g, col_sums, out=np.ones_like(g), where=col_sums > 0), 1.0)
 
     # Deficits are non-negative by construction; clip roundoff so the
     # correction cannot introduce negative entries.
@@ -37,5 +36,6 @@ def round_to_feasible(prob: OTProblem, X: np.ndarray) -> np.ndarray:
         # Rows are exact, and the marginals carry equal total mass, so the
         # columns are exact too; skip the 0/0 correction.
         return X_tmp
-    return X_tmp + np.outer(err_r, err_c) / total
-
+    correction = np.outer(err_r, err_c)
+    correction /= total
+    return np.add(correction, X_tmp, out=correction)  # the bits of X_tmp + correction

@@ -163,6 +163,7 @@ def sinkhorn_solve(
         feasibility = _l1_violation(X, f, g)
     plan = np.zeros((prob.m, prob.n))
     plan[np.ix_(row_mask, col_mask)] = X
+    del K, work, X  # not to be kept through the rounding
     phi_full = np.zeros(prob.m)
     psi_full = np.zeros(prob.n)
     phi_full[row_mask] = eps * a

@@ -16,6 +16,9 @@
   and ``unshared_mean_step`` are the solver's per-point arithmetic written
   out the long way: each builds its own reduced cost C - p 1^T - 1 q^T or
   displacement in fresh arrays and ignores the shared slack it is passed.
+- ``scaled_rounding_reference`` is ``round_to_feasible``'s arithmetic the
+  long way: it divides every row and column sum, zero ones included, under
+  ``np.errstate``, and adds the rank-one correction to the scaled plan.
 - ``exact_oracle`` and ``optimal_basis_duals`` solve tiny instances exactly.
   Every vertex of the transportation polytope is the flow solution of some
   spanning tree of the complete bipartite graph on the row and column nodes,
@@ -121,6 +124,24 @@ def power_iteration_norm(m: int, n: int, max_iters: int = 500, tol: float = 1e-1
             return sigma_new
         sigma = sigma_new
     return sigma
+
+
+def scaled_rounding_reference(prob, X: np.ndarray) -> np.ndarray:
+    f, g = prob.f, prob.g
+    row_sums = X.sum(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        row_scale = np.where(row_sums > 0, np.minimum(f / row_sums, 1.0), 1.0)
+    X_tmp = row_scale[:, None] * X
+    col_sums = X_tmp.sum(axis=0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        col_scale = np.where(col_sums > 0, np.minimum(g / col_sums, 1.0), 1.0)
+    X_tmp = X_tmp * col_scale[None, :]
+    err_r = np.maximum(f - X_tmp.sum(axis=1), 0.0)
+    err_c = np.maximum(g - X_tmp.sum(axis=0), 0.0)
+    total = float(err_r.sum())
+    if total <= 1e-14:  # rounding.ZERO_RESIDUAL_TOL
+        return X_tmp
+    return X_tmp + np.outer(err_r, err_c) / total
 
 
 def rounding_bound_check(prob, X: np.ndarray, X_feas: np.ndarray) -> bool:

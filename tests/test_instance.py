@@ -244,7 +244,10 @@ class TestFileRoundTrip:
     @pytest.mark.parametrize(
         "text",
         [
+            "",  # empty
+            "# comment only\n2 2\n",  # no cost line
             "2 2\ncost l1\n0.5 0.5\n",  # truncated
+            "2 2\ncost explicit\n0 1\n0.5 0.5\n0.5 0.5\n",  # a cost row missing
             "2 2\nl1\n0.5 0.5\n0.5 0.5\n",  # missing cost keyword
             "2 3\ncost l1\n0.5 0.5\n0.3 0.3 0.4\n",  # grid cost needs m == n
             "3 3\ncost l2\n0.4 0.3 0.3\n0.4 0.3 0.3\n",  # 3 is not a square

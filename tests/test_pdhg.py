@@ -304,6 +304,23 @@ class TestSolve:
             with pytest.raises(ValueError, match=rf"^initial {block} has a non-finite entry$"):
                 solve(prob, SolverConfig(restart_mode=mode), initial=start)
 
+    @pytest.mark.parametrize("mode", [ADAPTIVE, FIXED_BETA])
+    def test_negative_initial_plan_rejected(self, mode, monkeypatch):
+        # kkt_error has no term for X >= 0, so this start reads exactly 0:
+        # accepted, it would come back as optimal with objective -0.2, where
+        # the optimum is 0
+        def no_step(*args):
+            raise AssertionError("a step was taken")
+
+        monkeypatch.setattr(otsolve.pdhg, "pdhg_step", no_step)
+        prob, _ = two_by_two_optimal()
+        start = Iterate(np.array([[0.6, -0.1], [-0.1, 0.6]]), np.array([-0.2, -0.2]), np.zeros(2))
+        assert kkt_error(prob, start) == 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"^initial X has a negative entry$"):
+                solve(prob, SolverConfig(restart_mode=mode), initial=start)
+
     @pytest.mark.parametrize("termination, cfg, warm", [
         ("tolerance", SolverConfig(tol=1e-6), False),
         ("iteration_limit", SolverConfig(tol=1e-14, max_iters=10), False),

@@ -4,7 +4,7 @@ import pytest
 from otsolve import round_to_feasible
 
 from _helpers import make_problem, random_problem
-from _oracles import rounding_bound_check
+from _oracles import rounding_bound_check, scaled_rounding_reference
 
 
 def assert_feasible(prob, X, atol=1e-12):
@@ -58,6 +58,26 @@ class TestRoundToFeasible:
             X_feas = round_to_feasible(prob, X)
             assert_feasible(prob, X_feas)
             assert rounding_bound_check(prob, X, X_feas)
+
+    def test_same_bits_as_reference(self):
+        # Zero-mass marginal entries, empty rows and columns and all-zero
+        # plans are where the reference divides by zero and the solver does not.
+        rng = np.random.default_rng(16)
+        for trial in range(1000):
+            m, n = (int(x) for x in rng.integers(1, 12, 2))
+            f, g = rng.random(m), rng.random(n)
+            f[rng.random(m) < 0.3] = 0.0
+            g[rng.random(n) < 0.3] = 0.0
+            f[0] += 0.1
+            g[-1] += 0.1
+            prob = make_problem(rng.random((m, n)), f, g)
+            X = rng.random((m, n)) * rng.choice([0.1, 1.0, 3.0])
+            X[rng.random(m) < 0.3] = 0.0
+            X[:, rng.random(n) < 0.3] = 0.0
+            if trial % 10 == 0:
+                X[...] = 0.0
+            got, ref = round_to_feasible(prob, X), scaled_rounding_reference(prob, X)
+            assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
 
     def test_idempotent(self):
         rng = np.random.default_rng(77)

@@ -2,13 +2,14 @@ import itertools
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import Phase, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.special import logsumexp
@@ -115,11 +116,22 @@ def lse_inputs(draw):
     return draw(arrays(np.float64, shape, elements=entry)) * scale, draw(st.sampled_from([0, 1]))
 
 
+# Tied maxima: the textbook form and scipy's, which counts the ties, differ
+# in the last bit here. Then a lane holding its (tied) maximum, entries more
+# than 745.2 below it, whose exp is exactly 0, and entries 700-745.2 below it.
+TIED_MAXIMA = np.array([[0.0, 0.0, -1.0, -2.0]])
+FAR_BELOW_MAX = np.array([[5.0, -760.0, 5.0, -900.0, -700.0, -740.0, 4.0]])
+
+
 class TestLogSumExp:
     # No shrink phase: shrinking arrays of up to 40x40 entries one example at
     # a time took about 5 minutes to report a failure.
     @settings(phases=set(Phase) - {Phase.shrink})
     @given(lse_inputs())
+    @example(case=(TIED_MAXIMA, 1))
+    @example(case=(TIED_MAXIMA.T, 0))
+    @example(case=(FAR_BELOW_MAX, 1))
+    @example(case=(FAR_BELOW_MAX.T, 0))
     def test_textbook_bits_within_ulps_of_scipy(self, case):
         a, axis = case
         got = _logsumexp(a.copy(), axis)
@@ -325,6 +337,24 @@ class TestSinkhornSolve:
         _, _, report = solved
         assert report.termination_reason == "tolerance"
         assert report.iterations == iterations
+
+    def test_peak_memory(self):
+        # The solve's peak allocation, in plan-sized arrays above the problem.
+        # The loop holds the scaled cost and its work buffer; the returned
+        # plan and the rounding's two arrays come after both are dropped;
+        # keeping them through the rounding would read 5.3.
+        from otsolve import grid_problem
+
+        prob = grid_problem("cauchy_like", 16, "l1", seed=11)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            _, _, report = sinkhorn_solve(prob, SinkhornConfig(penalty=0.05, tol=1e-4))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.iterations == 310
+        assert (peak - before) / prob.C.nbytes <= 3.5
 
     @pytest.mark.parametrize("C", [
         [[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]],  # used to run to max_iters
