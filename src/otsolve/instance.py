@@ -220,10 +220,17 @@ def _grid_side(m: int, n: int) -> int | None:
 
 
 def _grid_kind(prob: OTProblem) -> str | None:
-    """The first grid cost kind whose entries equal the cost's, if any."""
+    """The grid cost kind whose entries equal the cost's, if any.
+
+    Cells 0 and r + 1 are one step apart on both axes, so their entry names
+    the one candidate (2 for l1, sqrt(2) for l2, 1 for linf), and only that
+    grid cost is built. A 1 x 1 grid cost is [[0]] under every kind: l1.
+    """
     r = _grid_side(prob.m, prob.n)
-    kinds = GRID_COST_KINDS if r is not None else ()
-    return next((k for k in kinds if np.array_equal(prob.C, grid_cost(r, k).entries)), None)
+    if r is None:
+        return None
+    kind = L1 if r == 1 else {2.0: L1, math.sqrt(2.0): L2, 1.0: LINF}.get(float(prob.C[0, r + 1]))
+    return kind if kind and np.array_equal(prob.C, grid_cost(r, kind).entries) else None
 
 
 def save_instance(prob: OTProblem, path) -> None:

@@ -5,9 +5,12 @@ penalty eps (Peyre & Cuturi, arXiv:1803.00567, 4.4): a solve divides its
 copy of the cost once, K = C / eps, and holds the potentials as a = phi / eps
 and b = psi / eps until the exit multiplies them by eps. A half-update
 writes b - K, or a - K, into a K-shaped work buffer that every half-update
-and plan of a solve reuses, and reduces it with the max-shifted log-sum-exp
-(see ``_logsumexp``). The plan is exp(a + b - K); its rows match the row
-marginal exactly right after a row update, and likewise for columns.
+and plan of a solve reuses, and reduces it with the max-shifted log-sum-exp,
+whose exponents are clipped at -700 so that ``exp`` never takes its slow
+underflow path; a clipped term moves the exact lane sum, which is at least 1,
+by less than e^-700 (see ``_logsumexp``). The plan is exp(a + b - K), not
+clipped; its rows match the row marginal exactly right after a row update,
+and likewise for columns.
 
 So the plan exists only at the start and at the exit. After a column update
 row i of the plan sums to f_i exp(a_i - a+_i), where a+ is the next row
@@ -70,9 +73,21 @@ def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
     the result is within a few ulps of max(1, max|a|) of the exact value
     (at most 4 from ``scipy.special.logsumexp`` on random lanes of up to 40
     entries). ``a`` is overwritten.
+
+    Shifted exponents below -700 are raised to -700 first, because numpy's
+    ``exp`` is 10 to over 100 times slower where its result is subnormal or 0
+    (below about -708.4), and at small penalties most exponents are. A
+    clipped term and the term it replaces both lie in [0, e^-700], and every
+    lane holds its maximum, whose term is exactly 1, so the exact lane sum
+    moves by less than n e^-700 relative to a sum of at least 1. That is not
+    a proof that the rounded sum keeps its bits: a chain of rounding
+    near-ties among the tiny partial sums could in principle carry up. The
+    tests check the bits against the unclipped form on every problem they
+    solve.
     """
     a_max = a.max(axis=axis, keepdims=True)
     a -= a_max
+    np.maximum(a, -700.0, out=a)
     s = np.exp(a, out=a).sum(axis=axis, keepdims=True)
     return (np.log(s) + a_max).squeeze(axis)
 

@@ -289,11 +289,25 @@ class TestCriterion09RestartLengthBound:
                        f"(bound {bound:.0f})")
 
 
+# Sinkhorn pass counts at penalties 0.01 and 0.001, so that a change to the
+# Sinkhorn arithmetic that moves a pass fails here.
+SINKHORN_PASSES = {
+    ("shapes", "l1"): (3_287, 32_458),
+    ("shapes", "l2"): (1_256, 10_523),
+    ("shapes", "linf"): (631, 5_366),
+    ("cauchy_like", "l1"): (1_529, 15_246),
+    ("cauchy_like", "l2"): (2_003, 19_146),
+    ("cauchy_like", "linf"): (2_046, 20_549),
+}
+
+
 class TestCriterion10SinkhornTradeoff:
     def test_gap_and_time_ordering(self, scale_results, sinkhorn_results):
         results, _ = scale_results
         gaps = {0.01: [], 0.001: [], "pdot": []}
         for key, (prob, it, report) in results.items():
+            passes = tuple(sinkhorn_results[key + (eps,)].iterations for eps in (0.01, 0.001))
+            assert passes == SINKHORN_PASSES[key], (key, passes)
             pdot_gap = report.duality_gap
             gaps["pdot"].append(pdot_gap)
             g01 = sinkhorn_results[key + (0.01,)].duality_gap

@@ -199,21 +199,34 @@ class TestFileRoundTrip:
         back = load_instance(path)
         np.testing.assert_allclose(back.C, prob.C, rtol=0, atol=1e-15)
 
-    @pytest.mark.parametrize("entries, line", [
-        (grid_cost(3, "l1").entries.copy(), "cost l1"),
-        (grid_cost(3, "l2").entries.copy(), "cost l2"),
-        (grid_cost(3, "linf").entries.copy(), "cost linf"),
-        (grid_cost(4, "l2").entries / np.sqrt(18.0), "cost explicit"),
-        (np.random.default_rng(3).random((16, 16)), "cost explicit"),
-        (np.random.default_rng(4).random((2, 3)), "cost explicit"),
-    ], ids=["l1", "l2", "linf", "normalized_l2", "random_16x16", "random_2x3"])
-    def test_cost_line_follows_the_entries(self, tmp_path, entries, line):
-        # the shorthand is chosen from the entries alone, however they were built
+    @pytest.mark.parametrize("entries, line, built", [
+        (grid_cost(3, "l1").entries.copy(), "cost l1", 1),
+        (grid_cost(3, "l2").entries.copy(), "cost l2", 1),
+        (grid_cost(3, "linf").entries.copy(), "cost linf", 1),
+        (np.zeros((1, 1)), "cost l1", 1),
+        (grid_cost(4, "l2").entries / np.sqrt(18.0), "cost explicit", 0),
+        (np.random.default_rng(3).random((16, 16)), "cost explicit", 0),
+        (np.random.default_rng(4).random((2, 3)), "cost explicit", 0),
+        (np.maximum(grid_cost(3, "l1").entries, 2.0) - np.eye(9) * 2.0, "cost explicit", 1),
+    ], ids=["l1", "l2", "linf", "1x1", "normalized_l2", "random_16x16", "random_2x3",
+            "l1_candidate"])
+    def test_cost_line_follows_the_entries(self, tmp_path, monkeypatch, entries, line, built):
+        # the shorthand is chosen from the entries alone, however they were
+        # built, and at most one grid cost is built to decide it
         m, n = entries.shape
         rng = np.random.default_rng(5)
         prob = make_problem(entries, rng.random(m) + 0.1, rng.random(n) + 0.1)
+        calls = []
+
+        def counted(r, kind):
+            calls.append(kind)
+            return grid_cost(r, kind)
+
+        monkeypatch.setattr(otsolve.instance, "grid_cost", counted)
         path = tmp_path / "inst.txt"
         save_instance(prob, path)
+        monkeypatch.undo()
+        assert len(calls) == built
         assert path.read_text().splitlines()[2] == line
         back = load_instance(path)
         assert back.C.tobytes() == prob.C.tobytes()

@@ -121,6 +121,9 @@ def lse_inputs(draw):
 # than 745.2 below it, whose exp is exactly 0, and entries 700-745.2 below it.
 TIED_MAXIMA = np.array([[0.0, 0.0, -1.0, -2.0]])
 FAR_BELOW_MAX = np.array([[5.0, -760.0, 5.0, -900.0, -700.0, -740.0, 4.0]])
+# A lane whose other entries spread over (-745.2, -600) below its maximum,
+# through the band where exp is subnormal (below about -708.4).
+SUBNORMAL_BAND = np.append(3.0, 3.0 + np.linspace(-745.1, -600.5, 40))[None, :]
 
 
 class TestLogSumExp:
@@ -132,10 +135,15 @@ class TestLogSumExp:
     @example(case=(TIED_MAXIMA.T, 0))
     @example(case=(FAR_BELOW_MAX, 1))
     @example(case=(FAR_BELOW_MAX.T, 0))
+    @example(case=(SUBNORMAL_BAND, 1))
     def test_textbook_bits_within_ulps_of_scipy(self, case):
         a, axis = case
-        got = _logsumexp(a.copy(), axis)
+        work = a.copy()
+        got = _logsumexp(work, axis)
         assert np.array_equal(got, lse(a, axis))
+        # every term exp took was at least e^-700: none was subnormal or 0,
+        # where exp is slow, and yet the bits are those of the unclipped form
+        assert np.all(work >= np.exp(-700.0))
         expected = logsumexp(a, axis=axis)
         assert got.shape == expected.shape
         lane_scale = np.maximum(1.0, np.abs(a).max(axis=axis))
