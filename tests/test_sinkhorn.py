@@ -16,7 +16,7 @@ from scipy.special import logsumexp
 
 import otsolve.sinkhorn
 from otsolve import SinkhornConfig, sinkhorn_solve
-from otsolve.sinkhorn import _logsumexp, _plan, _update_phi, _update_psi
+from otsolve.sinkhorn import _kernel, _logsumexp, _plan, _update_phi, _update_psi
 
 from _helpers import make_problem, random_problem
 
@@ -68,43 +68,121 @@ def log_domain_sinkhorn(prob, eps, tol, max_iters, logsumexp_fn):
     return plan, phi_full, psi_full, iterations, err
 
 
+# The absorption rule of the solver: scalings within [e^-100, e^100], kernel
+# entries below e^-600 set to 0, products that must be normal and finite.
+TAU = 100.0
+FLUSH = np.exp(-600.0)
+TINY = np.finfo(np.float64).tiny
+
+
+def gemv_sinkhorn(prob, eps, tol, max_iters):
+    """Reference: the solver's loop, scaling passes on an absorbed kernel.
+
+    In units of eps the potentials are a = a0 + log u and b = b0 + log v, and
+    the kernel is G = exp(a0 + b0 - K) with entries below FLUSH set to 0. A
+    pass computes v = g / (G^T u), then u+ = f / (G v); its row violation is
+    sum |u (G v) - f|, the columns being exact. The first pass, and a pass
+    whose G^T u or G v has an entry below TINY or not finite, runs in the log
+    domain with ``lse`` instead, and the next pass absorbs its potentials
+    into a new kernel. So does the pass after a scaling leaves
+    [e^-TAU, e^TAU], or after a plan that did not meet tol (it overwrites the
+    solver's kernel). The plan is formed when the row violation is at most
+    tol, and at a limit exit. Returns the plan, eps * a, eps * b, the
+    iteration count, the plan's last l1 violation and the number of kernels.
+    """
+    rows, cols = prob.f > 0, prob.g > 0
+    K, f, g = prob.C[np.ix_(rows, cols)] / eps, prob.f[rows], prob.g[cols]
+
+    def plan(a, b):
+        X = np.exp(a[:, None] + b[None, :] - K)
+        return X, np.abs(X.sum(axis=1) - f).sum() + np.abs(X.sum(axis=0) - g).sum()
+
+    def usable(s):
+        return s.min() >= TINY and s.max() < np.inf
+
+    a0, b0, u, v = np.zeros(f.size), np.zeros(g.size), np.ones(f.size), np.ones(g.size)
+    a, b = a0, b0
+    X, err = plan(a, b)
+    iterations = kernels = 0
+    absorb = False
+    while err > tol and iterations < max_iters:
+        iterations += 1
+        if absorb:
+            a0, b0, u = a0 + np.log(u), b0 + np.log(v), np.ones(f.size)
+            G = np.exp(a0[:, None] + b0[None, :] - K)
+            G[G < FLUSH] = 0.0
+            kernels += 1
+        absorb = False
+        t = None
+        if iterations > 1 and usable(s := G.T @ u):
+            v = g / s
+            t = G @ v
+        if t is not None and usable(t):
+            a, b = a0 + np.log(u), b0 + np.log(v)
+            err = float(np.abs(u * t - f).sum())
+            u = f / t
+            absorb = not all(np.exp(-TAU) <= x.min() and x.max() <= np.exp(TAU) for x in (u, v))
+        else:
+            a = a0 + np.log(u) if iterations > 1 else np.log(f) - lse(b0[None, :] - K, axis=1)
+            b = np.log(g) - lse(a[:, None] - K, axis=0)
+            a_next = np.log(f) - lse(b[None, :] - K, axis=1)
+            err = float(np.abs(np.exp(np.log(f) + a - a_next) - f).sum())
+            a0, b0, u, v = a_next, b, np.ones(f.size), np.ones(g.size)
+            absorb = True
+        if err <= tol:
+            X, err = plan(a, b)
+            absorb = True
+    if err > tol and iterations:
+        X, err = plan(a, b)
+    full = np.zeros(prob.C.shape)
+    full[np.ix_(rows, cols)] = X
+    phi_full, psi_full = np.zeros(prob.m), np.zeros(prob.n)
+    phi_full[rows], psi_full[cols] = eps * a, eps * b
+    return full, phi_full, psi_full, iterations, err, kernels
+
+
 def assert_same_bits(prob, cfg, ref_max_iters=None):
-    """sinkhorn_solve under cfg matches the reference loop with ``lse`` to the bit.
+    """sinkhorn_solve under cfg matches ``gemv_sinkhorn`` to the bit.
 
     The reference stops by tolerance or by ref_max_iters (cfg.max_iters if
-    None), the pass a time-limit exit is expected at. Returns the solve.
+    None), the pass a time-limit exit is expected at. Returns the solve and
+    the reference's kernel count.
     """
     plan, (phi, psi), report = sinkhorn_solve(prob, cfg)
     max_iters = cfg.max_iters if ref_max_iters is None else ref_max_iters
-    ref_plan, ref_phi, ref_psi, ref_iterations, ref_err = log_domain_sinkhorn(
-        prob, cfg.penalty, cfg.tol, max_iters, lse)
+    ref_plan, ref_phi, ref_psi, ref_iterations, ref_err, kernels = gemv_sinkhorn(
+        prob, cfg.penalty, cfg.tol, max_iters)
     assert report.iterations == ref_iterations
     assert np.array_equal(plan, ref_plan)
     assert np.array_equal(phi, ref_phi)
     assert np.array_equal(psi, ref_psi)
     assert report.final_relative_kkt == ref_err
-    return plan, (phi, psi), report
+    return (plan, (phi, psi), report), kernels
 
 
-# Measured worst cases of the agreement with scipy, times a margin of 4:
-# potentials 3.5e-15 and plans 7.8e-14 of the reference's largest entry.
-SCIPY_PHI_PSI_RTOL = 4 * 3.5e-15
-SCIPY_PLAN_RTOL = 4 * 7.8e-14
+# Measured worst cases of the agreement with the log-domain loops on the 15
+# problems checked against them, times a margin of 4: potentials 2.8e-14 of
+# the reference's largest |potential| (phi and psi together) and plans 9.1e-13
+# of its largest entry, both on the 58x6 shapes problems.
+LOG_DOMAIN_PHI_PSI_RTOL = 4 * 2.8e-14
+LOG_DOMAIN_PLAN_RTOL = 4 * 9.1e-13
 
 
-def assert_agrees_with_scipy(prob, cfg, solved):
-    """The solve agrees with the loop using scipy.special.logsumexp.
+def assert_agrees_with_log_domain(prob, cfg, solved):
+    """The solve agrees with the log-domain loop, with ``lse`` and with scipy's.
 
-    The two log-sum-exps differ in the last bits, so the bits differ, but the
-    pass count is the same and the results agree to a few ulps.
+    The scaling passes round differently from log-sum-exps, so the bits
+    differ, but the pass count is the same and the results agree closely.
     """
     plan, (phi, psi), report = solved
-    ref_plan, ref_phi, ref_psi, ref_iterations, _ = log_domain_sinkhorn(
-        prob, cfg.penalty, cfg.tol, cfg.max_iters, logsumexp)
-    assert report.iterations == ref_iterations
-    for got, ref, rtol in ((phi, ref_phi, SCIPY_PHI_PSI_RTOL), (psi, ref_psi, SCIPY_PHI_PSI_RTOL),
-                           (plan, ref_plan, SCIPY_PLAN_RTOL)):
-        assert np.abs(got - ref).max() <= rtol * np.abs(ref).max()
+    for logsumexp_fn in (lse, logsumexp):
+        ref_plan, ref_phi, ref_psi, ref_iterations, _ = log_domain_sinkhorn(
+            prob, cfg.penalty, cfg.tol, cfg.max_iters, logsumexp_fn)
+        assert report.iterations == ref_iterations
+        scale = max(np.abs(ref_phi).max(), np.abs(ref_psi).max())
+        assert np.abs(phi - ref_phi).max() <= LOG_DOMAIN_PHI_PSI_RTOL * scale
+        assert np.abs(psi - ref_psi).max() <= LOG_DOMAIN_PHI_PSI_RTOL * scale
+        assert np.abs(plan - ref_plan).max() <= LOG_DOMAIN_PLAN_RTOL * np.abs(ref_plan).max()
 
 
 @st.composite
@@ -171,7 +249,8 @@ class TestSinkhornSolve:
         prob = make_problem(C, f, g)
         eps = float(10.0 ** rng.uniform(-2.5, -0.5))
         cfg = SinkhornConfig(penalty=eps, tol=1e-9, max_iters=5000)
-        assert_agrees_with_scipy(prob, cfg, assert_same_bits(prob, cfg))
+        solved, _ = assert_same_bits(prob, cfg)
+        assert_agrees_with_log_domain(prob, cfg, solved)
 
     def test_zero_cost_gives_product_coupling(self):
         rng = np.random.default_rng(0)
@@ -213,6 +292,16 @@ class TestSinkhornSolve:
             b = _update_psi(a, K, log_g, work)
             X = _plan(a, b, K, work)
             np.testing.assert_allclose(X.sum(axis=0), prob.g, rtol=0, atol=1e-12)
+
+    def test_kernel_flushes_entries_below_e_minus_600(self):
+        # exponents from 0 down through the flush threshold, the subnormal
+        # band and the underflow to 0
+        K = -np.linspace(-760.0, 0.0, 40).reshape(4, 10)
+        a0, b0 = np.array([0.0, -1.5, 2.0, 0.25]), np.linspace(-3.0, 3.0, 10)
+        X = np.exp(a0[:, None] + b0[None, :] - K)
+        G = _kernel(a0, b0, K, np.empty_like(K))
+        assert np.array_equal(G, np.where(X < FLUSH, 0.0, X))
+        assert np.count_nonzero((X > 0) & (G == 0)) == 8
 
     @pytest.mark.parametrize("zero_mass", [False, True])
     def test_inputs_not_written(self, zero_mass):
@@ -292,6 +381,7 @@ class TestSinkhornSolve:
         np.testing.assert_allclose(plan, 0.25, rtol=0, atol=1e-15)
 
     def test_plan_formed_at_start_and_exit(self, monkeypatch):
+        # besides the start and the exit, _plan builds each absorbed kernel
         calls = []
 
         def counted(*args):
@@ -300,21 +390,91 @@ class TestSinkhornSolve:
 
         monkeypatch.setattr(otsolve.sinkhorn, "_plan", counted)
         prob = random_problem(np.random.default_rng(3), 4, 5)
-        for max_iters, termination in ((7, "iteration_limit"), (100_000, "tolerance")):
-            calls.clear()
-            _, _, report = sinkhorn_solve(prob, SinkhornConfig(penalty=0.1, max_iters=max_iters))
-            assert report.termination_reason == termination and report.iterations >= 7
-            assert len(calls) == 2
+        kernel_counts = []
+        for eps in (0.1, 0.001):
+            for max_iters, termination in ((7, "iteration_limit"), (100_000, "tolerance")):
+                calls.clear()
+                cfg = SinkhornConfig(penalty=eps, max_iters=max_iters)
+                _, _, report = sinkhorn_solve(prob, cfg)
+                kernels = gemv_sinkhorn(prob, eps, cfg.tol, max_iters)[-1]
+                assert report.termination_reason == termination and report.iterations >= 7
+                assert len(calls) == 2 + kernels
+                kernel_counts.append(kernels)
+        assert kernel_counts == [1, 1, 1, 4]
         calls.clear()
         start = make_problem(np.full((2, 2), np.log(4.0)), [0.5, 0.5], [0.5, 0.5])
         _, _, report = sinkhorn_solve(start, SinkhornConfig(penalty=1.0))
         assert report.iterations == 0 and len(calls) == 1
 
+    def test_plan_not_meeting_tol_rebuilds_the_kernel(self, monkeypatch):
+        # At tol 1e-13 the row test passes falsely 6 times here; each plan
+        # formed then overwrites the kernel, which the next pass rebuilds.
+        violations = []
+        l1_violation = otsolve.sinkhorn._l1_violation
+
+        def recorded(*args):
+            violations.append(l1_violation(*args))
+            return violations[-1]
+
+        monkeypatch.setattr(otsolve.sinkhorn, "_l1_violation", recorded)
+        prob = random_problem(np.random.default_rng(1), 4, 5)
+        cfg = SinkhornConfig(penalty=0.001, tol=1e-13)
+        (_, _, report), kernels = assert_same_bits(prob, cfg)
+        assert report.termination_reason == "tolerance" and report.iterations == 1446
+        failed = sum(x > cfg.tol for x in violations[1:])
+        assert failed == 6 and kernels > failed
+
+    def test_subnormal_row_falls_back_to_the_log_domain(self, monkeypatch):
+        # Row 0 of every kernel is below e^-600, so it is flushed to 0 and G v
+        # has a zero: every pass runs in the log domain, with the passes of
+        # the log-domain loop and no warning.
+        calls = []
+
+        def counted(*args):
+            calls.append(1)
+            return _update_psi(*args)
+
+        monkeypatch.setattr(otsolve.sinkhorn, "_update_psi", counted)
+        prob = random_problem(np.random.default_rng(7), 4, 5)
+        subnormal_row = make_problem(prob.C, [1e-310, 1 / 3, 1 / 3, 1 / 3], prob.g)
+        passes = []
+        for eps in (0.1, 0.01, 0.001):
+            calls.clear()
+            cfg = SinkhornConfig(penalty=eps, max_iters=2000)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                _, _, report = sinkhorn_solve(subnormal_row, cfg)
+            assert len(calls) == report.iterations
+            ref_iterations = log_domain_sinkhorn(subnormal_row, eps, cfg.tol, 2000, lse)[3]
+            assert report.iterations == ref_iterations
+            passes.append((report.iterations, report.termination_reason))
+        assert passes == [(24, "tolerance"), (246, "tolerance"), (2000, "iteration_limit")]
+
+    def test_scaling_passes_resume_after_a_fallback(self, monkeypatch):
+        # One product reported unusable in mid-solve: that pass runs in the
+        # log domain, the next builds a kernel, and the scaling passes go on.
+        from otsolve import grid_problem
+
+        checks, log_passes = itertools.count(), []
+        usable = otsolve.sinkhorn._usable
+
+        def counted(*args):
+            log_passes.append(1)
+            return _update_psi(*args)
+
+        monkeypatch.setattr(otsolve.sinkhorn, "_usable", lambda s: next(checks) != 10 and usable(s))
+        monkeypatch.setattr(otsolve.sinkhorn, "_update_psi", counted)
+        prob = grid_problem("cauchy_like", 16, "l1", seed=11)
+        cfg = SinkhornConfig(penalty=0.05, tol=1e-4)
+        solved = sinkhorn_solve(prob, cfg)
+        assert len(log_passes) == 2 and next(checks) > 600
+        assert_agrees_with_log_domain(prob, cfg, solved)
+
     @pytest.mark.parametrize("max_iters", [1, 2, 7])
     def test_iteration_limit_exit_same_bits(self, max_iters):
         prob = random_problem(np.random.default_rng(8), 6, 5)
-        _, _, report = assert_same_bits(prob, SinkhornConfig(penalty=0.05, tol=1e-12,
-                                                             max_iters=max_iters))
+        cfg = SinkhornConfig(penalty=0.05, tol=1e-12, max_iters=max_iters)
+        (_, _, report), _ = assert_same_bits(prob, cfg)
         assert report.termination_reason == "iteration_limit"
         assert report.iterations == max_iters
 
@@ -326,7 +486,7 @@ class TestSinkhornSolve:
                             SimpleNamespace(perf_counter=lambda: float(next(ticks))))
         prob = random_problem(np.random.default_rng(9), 5, 6)
         cfg = SinkhornConfig(penalty=0.05, tol=1e-12, time_limit_s=passes + 0.5)
-        _, _, report = assert_same_bits(prob, cfg, ref_max_iters=passes)
+        (_, _, report), _ = assert_same_bits(prob, cfg, ref_max_iters=passes)
         assert report.termination_reason == "time_limit"
         assert report.iterations == passes
 
@@ -340,8 +500,8 @@ class TestSinkhornSolve:
 
         prob = grid_problem(kind, 16, norm, seed=11)
         cfg = SinkhornConfig(penalty=eps, tol=1e-4)
-        solved = assert_same_bits(prob, cfg)
-        assert_agrees_with_scipy(prob, cfg, solved)
+        solved, _ = assert_same_bits(prob, cfg)
+        assert_agrees_with_log_domain(prob, cfg, solved)
         _, _, report = solved
         assert report.termination_reason == "tolerance"
         assert report.iterations == iterations
@@ -426,3 +586,35 @@ def test_package_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
                          env={**os.environ, "PYTHONPATH": str(src)}).stdout
     assert out.strip() == "[]"
+
+
+# Solves the two grid problems of the thread-count test and prints, first, a
+# dot product whose bits depend on the BLAS thread count, then each solve's
+# passes and a hash of its plan and potentials.
+THREADS_SCRIPT = """
+import hashlib
+import numpy as np
+from otsolve import SinkhornConfig, grid_problem, sinkhorn_solve
+x, y = np.random.default_rng(0).standard_normal((2, 65536))
+print(float(np.vdot(x, y)).hex())
+for kind, norm, eps in (("cauchy_like", "l1", 0.05), ("shapes", "l2", 0.003)):
+    prob = grid_problem(kind, 16, norm, seed=11)
+    plan, (phi, psi), report = sinkhorn_solve(prob, SinkhornConfig(penalty=eps, tol=1e-4))
+    digest = hashlib.sha256(plan.tobytes() + phi.tobytes() + psi.tobytes()).hexdigest()
+    print(report.iterations, digest)
+"""
+
+
+def test_same_bits_on_one_and_two_blas_threads():
+    # The report's objective and gap are left out: they go through np.vdot.
+    src = Path(otsolve.__file__).resolve().parents[1]
+    out = {}
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": threads,
+               "OMP_NUM_THREADS": threads, "MKL_NUM_THREADS": threads}
+        out[threads] = subprocess.run([sys.executable, "-c", THREADS_SCRIPT], capture_output=True,
+                                      text=True, check=True, env=env).stdout.splitlines()
+    if out["1"][0] == out["2"][0]:
+        pytest.skip("np.vdot has the same bits on 1 and 2 BLAS threads here: BLAS ran one thread")
+    assert len(out["1"]) == 3
+    assert out["1"][1:] == out["2"][1:]
