@@ -26,6 +26,39 @@ smallest normal number (a marginal entry below about n e^-600 flushes its
 whole row or column), that pass runs in the log domain instead, and the next
 pass absorbs its potentials.
 
+A kernel is only built from a row update: the potentials of u+ after a
+scaling pass, or the next row update after a log-domain pass. So row i of G
+sums to f_i up to the rounding of its exponents, which is far below a factor
+e while max|K| is far below 2^52. If f_i < e^-601, every entry of row i is
+then below e^-600 and flushed, (G v)_i = 0, and the pass falls back. A solve
+whose smallest row marginal is below e^-601 decides this once, at the start:
+it builds no kernel and runs every pass in the log domain, with the same
+bits.
+
+Scaling passes run in batches (``_scaling_passes``). Up to B passes run back
+to back, each writing s = G^T u, v, t = G v and u+ with ``out=`` into one
+row of small buffers, and the clock is read before each pass. Then the tests
+of every pass run at once, row by row on the buffers: the usability of both
+products, the row test and the range test. The batch keeps its passes up to
+and including the first that meets tol or sets absorb. If a product is
+unusable first, the passes before it count and that pass runs in the log
+domain. Later passes are thrown away. A matrix-vector product into a buffer
+row had the bits of one into a new vector on every size tried, and a row sum
+of a 2-D array has the bits of the 1-D sum (numpy sums each contiguous row
+pairwise), so every pass that counts has the arithmetic and the tests of a
+pass run alone, and a solve keeps its bits; the tests check this against a
+loop of single passes. B = min(32, max(1, 2048 // (m + n))) after
+elimination: 32 on the 58x6 ``shapes`` problems, where the per-pass tests
+cost more than the two products, and 4 at 256x256, where a thrown-away pass
+costs two O(mn) products; the buffers hold at most 32 KB while m + n <=
+2048, and one pass beyond. The batch after a pass that fell back is one
+pass, so a solve that falls back on every pass (a column marginal of 1e-310,
+say, which unlike a row's cannot be decided up front) throws no pass away
+after its first batch. After an unusable product the later ones may overflow
+or be NaN, so the batch runs under one ``np.errstate(all="ignore")``, and
+the tests after it read only the passes before the first unusable product:
+no warning is raised.
+
 The plan is exp(a + b - K), not flushed. It exists only at the start and at
 the exit: after a column update row i of the plan sums to u_i (G v)_i, or to
 f_i exp(a_i - a+_i) in a log-domain pass (a+ the next row update), which
@@ -79,12 +112,14 @@ class SinkhornConfig:
 _HEADROOM = 16.0
 
 # The absorption and flush rule (see the module docstring); _TINY is the
-# smallest normal number.
+# smallest normal number and _HUGE the largest finite one.
 _TAU = 100.0
 _SCALE_LO = math.exp(-_TAU)
 _SCALE_HI = math.exp(_TAU)
 _FLUSH = math.exp(-600.0)
+_FLUSHED_ROW = math.exp(-601.0)
 _TINY = float(np.finfo(np.float64).tiny)
+_HUGE = float(np.finfo(np.float64).max)
 
 
 def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
@@ -128,17 +163,40 @@ def _kernel(a0: np.ndarray, b0: np.ndarray, K: np.ndarray, work: np.ndarray) -> 
     return G
 
 
-def _usable(s: np.ndarray) -> bool:
-    """Whether every entry of s is finite and at least the smallest normal number.
+def _within(x: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """For each row of x, whether every entry lies in [lo, hi] (not NaN)."""
+    if x.size and lo <= x.min() and x.max() <= hi:  # every row, the usual case
+        return np.ones(len(x), dtype=bool)
+    return (x.min(axis=1) >= lo) & (x.max(axis=1) <= hi)
 
-    Then a marginal, whose entries are at most 1, divided by s is finite.
+
+def _usable(s: np.ndarray) -> np.ndarray:
+    """For each row of s, whether every entry is finite and at least the smallest normal number.
+
+    Then a marginal, whose entries are at most 1, divided by that row is finite.
     """
-    return bool(_TINY <= s.min() and s.max() < math.inf)
+    return _within(s, _TINY, _HUGE)
 
 
-def _in_range(x: np.ndarray) -> bool:
-    """Whether max |log x| <= _TAU, for positive x."""
-    return bool(_SCALE_LO <= x.min() and x.max() <= _SCALE_HI)
+def _scaling_passes(G, f, g, U, S, V, T, passes: int, start_time: float, time_limit_s: float) -> int:
+    """Up to ``passes`` scaling passes on the kernel G, from u = U[0].
+
+    Pass j writes s = G^T u_j to S[j], v = g / s to V[j], t = G v to T[j] and
+    u_j+1 = f / t to U[j + 1]. The clock is read before every pass but the
+    first, whose read the caller made; returns the number of passes run,
+    fewer than ``passes`` when the time limit has passed. A product may be
+    unusable, and then every later pass is meaningless: the caller tests
+    them all afterwards, so no warning is raised here.
+    """
+    with np.errstate(all="ignore"):
+        for j, (u, s, v, t, u_next) in enumerate(zip(U[:passes], S, V, T, U[1:])):
+            if j and time.perf_counter() - start_time > time_limit_s:
+                return j
+            u.dot(G, out=s)
+            np.divide(g, s, out=v)
+            G.dot(v, out=t)
+            np.divide(f, t, out=u_next)
+    return passes
 
 
 def _potentials(a0: np.ndarray, u: np.ndarray, b0: np.ndarray, v: np.ndarray):
@@ -192,6 +250,17 @@ def sinkhorn_solve(
     work = np.empty_like(K)
     ones_f = np.ones(f.size)
     ones_g = np.ones(g.size)
+    # A batch of scaling passes writes pass j's u, s, v and t to row j of U,
+    # S, V and T, and the next u to U[j + 1] (see _scaling_passes).
+    batch = min(32, max(1, 2048 // (f.size + g.size)))
+    passes = batch  # after a fallback one, so that a batch wastes none
+    U = np.empty((batch + 1, f.size))
+    T = np.empty((batch, f.size))
+    S = np.empty((batch, g.size))
+    V = np.empty((batch, g.size))
+    # A row marginal below e^-601 flushes its whole kernel row, so every
+    # scaling pass would fall back: no kernel is built (module docstring).
+    scaling = f.min() >= _FLUSHED_ROW
     # The potentials are a0 + log u and b0 + log v; G = exp(a0 + b0 - K),
     # flushed, once built. last holds this form of the last pass's potentials.
     a0, b0, u, v = np.zeros(f.size), np.zeros(g.size), ones_f, ones_g
@@ -212,27 +281,41 @@ def sinkhorn_solve(
         if time.perf_counter() - start_time > cfg.time_limit_s:
             termination = "time_limit"
             break
-        iterations += 1
-        if absorb:
-            a0, b0, u = a0 + np.log(u), b0 + np.log(v), ones_f
-            G = _kernel(a0, b0, K, work)
-            absorb = False
-        t = None
-        if iterations > 1:  # the first pass is in the log domain
-            s = G.T @ u
-            if _usable(s):
-                v = g / s
-                t = G @ v
-        if t is not None and _usable(t):
-            # Row i of the plan sums to u_i t_i, and the columns are exact.
-            last = (a0, u, b0, v)
-            feasibility = float(np.abs(u * t - f).sum())
-            u = f / t
-            absorb = not (_in_range(u) and _in_range(v))
-        else:
-            # The first pass, or G^T u or G v has an entry that is zero,
-            # subnormal or not finite: the pass in the log domain, from the
-            # row potentials of u, then a new kernel.
+        log_pass = iterations == 0 or not scaling  # the first pass is in the log domain
+        if not log_pass:
+            if absorb:
+                a0, b0, u = a0 + np.log(u), b0 + np.log(v), ones_f
+                G = _kernel(a0, b0, K, work)
+                absorb = False
+            U[0] = u
+            ran = _scaling_passes(G, f, g, U, S, V, T, min(passes, cfg.max_iters - iterations),
+                                  start_time, cfg.time_limit_s)
+            # The passes before the first unusable product; row i of the plan
+            # after pass j sums to u_j,i t_j,i, and the columns are exact.
+            ok = _usable(S[:ran]) & _usable(T[:ran])
+            usable = ran if ok.all() else int(ok.argmin())
+            rows = np.abs(U[:usable] * T[:usable] - f).sum(axis=1)
+            far = ~(_within(U[1:usable + 1], _SCALE_LO, _SCALE_HI)
+                    & _within(V[:usable], _SCALE_LO, _SCALE_HI))
+            events = np.flatnonzero((rows <= cfg.tol) | far)
+            # The batch keeps its passes up to the first that meets tol or
+            # sets absorb; without one, an unusable product's pass runs in
+            # the log domain. Later passes are thrown away.
+            kept = int(events[0]) + 1 if events.size else usable
+            if kept:
+                v = V[kept - 1].copy()
+                last = (a0, U[kept - 1].copy(), b0, v)
+                feasibility = float(rows[kept - 1])
+                u = U[kept].copy()
+                absorb = bool(far[kept - 1])
+            iterations += kept
+            log_pass = kept < ran and not events.size
+            passes = 1 if log_pass else batch
+        if log_pass:
+            # The first pass, a pass without a kernel, or G^T u or G v has an
+            # entry that is zero, subnormal or not finite: the pass in the
+            # log domain, from the row potentials of u, then a new kernel.
+            iterations += 1
             a = a0 + np.log(u) if iterations > 1 else _update_phi(b0, K, log_f, work)
             b = _update_psi(a, K, log_g, work)
             if not (np.isfinite(a).all() and np.isfinite(b).all()):

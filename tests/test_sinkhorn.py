@@ -1,4 +1,5 @@
 import itertools
+import math
 import os
 import subprocess
 import sys
@@ -88,7 +89,8 @@ def gemv_sinkhorn(prob, eps, tol, max_iters):
     [e^-TAU, e^TAU], or after a plan that did not meet tol (it overwrites the
     solver's kernel). The plan is formed when the row violation is at most
     tol, and at a limit exit. Returns the plan, eps * a, eps * b, the
-    iteration count, the plan's last l1 violation and the number of kernels.
+    iteration count, the plan's last l1 violation and the passes that built
+    a kernel.
     """
     rows, cols = prob.f > 0, prob.g > 0
     K, f, g = prob.C[np.ix_(rows, cols)] / eps, prob.f[rows], prob.g[cols]
@@ -103,7 +105,8 @@ def gemv_sinkhorn(prob, eps, tol, max_iters):
     a0, b0, u, v = np.zeros(f.size), np.zeros(g.size), np.ones(f.size), np.ones(g.size)
     a, b = a0, b0
     X, err = plan(a, b)
-    iterations = kernels = 0
+    iterations = 0
+    kernels = []
     absorb = False
     while err > tol and iterations < max_iters:
         iterations += 1
@@ -111,7 +114,7 @@ def gemv_sinkhorn(prob, eps, tol, max_iters):
             a0, b0, u = a0 + np.log(u), b0 + np.log(v), np.ones(f.size)
             G = np.exp(a0[:, None] + b0[None, :] - K)
             G[G < FLUSH] = 0.0
-            kernels += 1
+            kernels.append(iterations)
         absorb = False
         t = None
         if iterations > 1 and usable(s := G.T @ u):
@@ -146,7 +149,7 @@ def assert_same_bits(prob, cfg, ref_max_iters=None):
 
     The reference stops by tolerance or by ref_max_iters (cfg.max_iters if
     None), the pass a time-limit exit is expected at. Returns the solve and
-    the reference's kernel count.
+    the passes at which the reference built a kernel.
     """
     plan, (phi, psi), report = sinkhorn_solve(prob, cfg)
     max_iters = cfg.max_iters if ref_max_iters is None else ref_max_iters
@@ -158,6 +161,19 @@ def assert_same_bits(prob, cfg, ref_max_iters=None):
     assert np.array_equal(psi, ref_psi)
     assert report.final_relative_kkt == ref_err
     return (plan, (phi, psi), report), kernels
+
+
+def record_batch_lengths(monkeypatch):
+    """The number of passes each batch of the solver is asked for, as a list that fills."""
+    lengths = []
+    scaling_passes = otsolve.sinkhorn._scaling_passes
+
+    def recorded(*args):
+        lengths.append(args[7])
+        return scaling_passes(*args)
+
+    monkeypatch.setattr(otsolve.sinkhorn, "_scaling_passes", recorded)
+    return lengths
 
 
 # Measured worst cases of the agreement with the log-domain loops on the 15
@@ -396,7 +412,7 @@ class TestSinkhornSolve:
                 calls.clear()
                 cfg = SinkhornConfig(penalty=eps, max_iters=max_iters)
                 _, _, report = sinkhorn_solve(prob, cfg)
-                kernels = gemv_sinkhorn(prob, eps, cfg.tol, max_iters)[-1]
+                kernels = len(gemv_sinkhorn(prob, eps, cfg.tol, max_iters)[-1])
                 assert report.termination_reason == termination and report.iterations >= 7
                 assert len(calls) == 2 + kernels
                 kernel_counts.append(kernels)
@@ -422,19 +438,24 @@ class TestSinkhornSolve:
         (_, _, report), kernels = assert_same_bits(prob, cfg)
         assert report.termination_reason == "tolerance" and report.iterations == 1446
         failed = sum(x > cfg.tol for x in violations[1:])
-        assert failed == 6 and kernels > failed
+        assert failed == 6 and len(kernels) > failed
 
     def test_subnormal_row_falls_back_to_the_log_domain(self, monkeypatch):
-        # Row 0 of every kernel is below e^-600, so it is flushed to 0 and G v
-        # has a zero: every pass runs in the log domain, with the passes of
-        # the log-domain loop and no warning.
-        calls = []
+        # Row 0 of every kernel would be below e^-600, flushed to 0, so that
+        # G v had a zero: every pass runs in the log domain, with the passes
+        # of the log-domain loop, no warning and no kernel built.
+        calls, kernels = [], []
 
         def counted(*args):
             calls.append(1)
             return _update_psi(*args)
 
+        def counted_kernel(*args):
+            kernels.append(1)
+            return _kernel(*args)
+
         monkeypatch.setattr(otsolve.sinkhorn, "_update_psi", counted)
+        monkeypatch.setattr(otsolve.sinkhorn, "_kernel", counted_kernel)
         prob = random_problem(np.random.default_rng(7), 4, 5)
         subnormal_row = make_problem(prob.C, [1e-310, 1 / 3, 1 / 3, 1 / 3], prob.g)
         passes = []
@@ -449,25 +470,52 @@ class TestSinkhornSolve:
             assert report.iterations == ref_iterations
             passes.append((report.iterations, report.termination_reason))
         assert passes == [(24, "tolerance"), (246, "tolerance"), (2000, "iteration_limit")]
+        assert kernels == []
+
+    def test_one_pass_batches_after_a_fallback(self, monkeypatch):
+        # Column 0 of every kernel is below e^-600 here, flushed to 0, so G^T u
+        # has a zero and every scaling pass falls back. After a fallback the
+        # next batch is one pass, so only the first batch throws passes away.
+        lengths = record_batch_lengths(monkeypatch)
+        prob = random_problem(np.random.default_rng(7), 4, 5)
+        subnormal_column = make_problem(prob.C, prob.f, [1e-310, 0.25, 0.25, 0.25, 0.25])
+        for eps, iterations in ((0.1, 13), (0.01, 38), (0.001, 230)):
+            lengths.clear()
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                (_, _, report), kernels = assert_same_bits(
+                    subnormal_column, SinkhornConfig(penalty=eps, max_iters=2000))
+            assert report.termination_reason == "tolerance" and report.iterations == iterations
+            assert len(kernels) == iterations - 1
+            assert lengths == [32] + [1] * (iterations - 2)
 
     def test_scaling_passes_resume_after_a_fallback(self, monkeypatch):
-        # One product reported unusable in mid-solve: that pass runs in the
-        # log domain, the next builds a kernel, and the scaling passes go on.
+        # The product tests of one batch in mid-solve report its third pass
+        # unusable: the two passes before it count, it runs in the log
+        # domain, the fourth is thrown away, the next pass builds a kernel,
+        # and the scaling passes go on.
         from otsolve import grid_problem
 
         checks, log_passes = itertools.count(), []
         usable = otsolve.sinkhorn._usable
 
+        def forced(s):
+            ok = usable(s)
+            if next(checks) == 20:
+                assert ok.size == 4 and ok.all()  # batches of 4 passes at 256x256
+                ok[2] = False
+            return ok
+
         def counted(*args):
             log_passes.append(1)
             return _update_psi(*args)
 
-        monkeypatch.setattr(otsolve.sinkhorn, "_usable", lambda s: next(checks) != 10 and usable(s))
+        monkeypatch.setattr(otsolve.sinkhorn, "_usable", forced)
         monkeypatch.setattr(otsolve.sinkhorn, "_update_psi", counted)
         prob = grid_problem("cauchy_like", 16, "l1", seed=11)
         cfg = SinkhornConfig(penalty=0.05, tol=1e-4)
         solved = sinkhorn_solve(prob, cfg)
-        assert len(log_passes) == 2 and next(checks) > 600
+        assert len(log_passes) == 2 and next(checks) > 100
         assert_agrees_with_log_domain(prob, cfg, solved)
 
     @pytest.mark.parametrize("max_iters", [1, 2, 7])
@@ -477,6 +525,49 @@ class TestSinkhornSolve:
         (_, _, report), _ = assert_same_bits(prob, cfg)
         assert report.termination_reason == "iteration_limit"
         assert report.iterations == max_iters
+
+    @pytest.mark.parametrize("max_iters", [31, 32, 33, 34, 65, 66])
+    def test_batch_boundary_iteration_limits_same_bits(self, max_iters):
+        # shapes l2 is 58x6 after elimination: batches of 32 passes, the
+        # first over passes 2-33, so the limits cut it, end it, cut the
+        # second after one pass, end the second and cut the third
+        from otsolve import grid_problem
+
+        prob = grid_problem("shapes", 16, "l2", seed=11)
+        cfg = SinkhornConfig(penalty=0.003, tol=1e-4, max_iters=max_iters)
+        (_, _, report), kernels = assert_same_bits(prob, cfg)
+        assert report.termination_reason == "iteration_limit"
+        assert report.iterations == max_iters and kernels == [2]
+
+    def test_events_mid_batch_same_bits(self, monkeypatch):
+        # A batch starts at each kernel build and every 32 passes after it,
+        # so an absorption or a tolerance exit lands mid-batch when its pass
+        # is not 32k passes after the last build.
+        from otsolve import grid_problem
+
+        lengths = record_batch_lengths(monkeypatch)
+        prob = grid_problem("shapes", 16, "l2", seed=11)
+        cfg = SinkhornConfig(penalty=0.003, tol=1e-4)
+        (_, _, report), kernels = assert_same_bits(prob, cfg)
+        assert report.termination_reason == "tolerance" and max(lengths) == 32
+        assert kernels == [2, 246, 2631]
+        assert all(gap % 32 for gap in np.diff(kernels + [report.iterations + 1]))
+
+    @settings(max_examples=100, phases=set(Phase) - {Phase.shrink})
+    @given(st.integers(2, 8), st.integers(2, 8), st.floats(-2.0, math.log10(0.5)), st.data())
+    def test_random_problems_same_bits(self, m, n, log_eps, data):
+        # Batches of 32 passes, cut by absorptions, tolerance exits,
+        # iteration limits and false row tests at every position. A problem
+        # with one row or column is solved by its first pass; costs up to 30
+        # penalties of 0.01 scale to 3,000, far enough to absorb.
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        C = rng.random((m, n)) * data.draw(st.sampled_from([1.0, 10.0, 30.0]))
+        prob = make_problem(C, rng.random(m) + 1e-3, rng.random(n) + 1e-3)
+        tol = data.draw(st.sampled_from([1e-4, 1e-8, 1e-13]))
+        cfg = SinkhornConfig(10.0 ** log_eps, tol, data.draw(st.integers(1, 400)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert_same_bits(prob, cfg)
 
     @pytest.mark.parametrize("passes", [0, 1, 2, 7])
     def test_time_limit_exit_same_bits(self, passes, monkeypatch):
