@@ -146,14 +146,21 @@ def grid_cost(r: int, kind: str) -> CostMatrix:
         raise InstanceError("grid resolution must be positive")
     if kind not in GRID_COST_KINDS:
         raise InstanceError(f"grid cost kind must be one of {GRID_COST_KINDS}")
-    rows, cols = np.divmod(np.arange(r * r, dtype=np.float64), r)
-    dr = np.abs(np.subtract.outer(rows, rows))
-    dc = np.abs(np.subtract.outer(cols, cols))
+    # Entry (i r + j, k r + l) combines |i - k| and |j - l|: the r x r table
+    # d broadcast over the axes (i, j, k, l) fills the entries in one pass,
+    # with no r^2 x r^2 temporary.
+    axis = np.arange(r, dtype=np.float64)
+    d = np.abs(np.subtract.outer(axis, axis))
+    dr, dc = d[:, None, :, None], d[None, :, None, :]
+    entries = np.empty((r, r, r, r))
     if kind == L1:
-        return CostMatrix(dr + dc)
-    if kind == L2:
-        return CostMatrix(np.sqrt(dr ** 2 + dc ** 2))
-    return CostMatrix(np.maximum(dr, dc))
+        np.add(dr, dc, out=entries)
+    elif kind == L2:
+        np.add(dr ** 2, dc ** 2, out=entries)
+        np.sqrt(entries, out=entries)
+    else:
+        np.maximum(dr, dc, out=entries)
+    return CostMatrix(entries.reshape(r * r, r * r))
 
 
 def _random_rectangle(rng: np.random.Generator, rows: range, cols: range) -> tuple:
