@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _par
 from .instance import OTProblem
 from .operator import apply_A, apply_At
 
@@ -37,12 +38,32 @@ class Iterate:
         return cls(np.zeros((m, n)), np.zeros(m), np.zeros(n))
 
 
-def dual_slack(prob: OTProblem, it: Iterate) -> np.ndarray:
-    """S = p 1^T + 1 q^T - C as a new array: the dual slack, whose positive
-    part is the dual violation and whose negation is the reduced cost."""
-    slack = apply_At(it.p, it.q)
-    np.subtract(slack, prob.C, out=slack)
-    return slack
+def dual_slack(prob: OTProblem, it: Iterate, out: np.ndarray | None = None) -> np.ndarray:
+    """S = p 1^T + 1 q^T - C as a new array, or in ``out``: the dual slack,
+    whose positive part is the dual violation and whose negation is the
+    reduced cost."""
+    C = prob.C
+    if not _par.split(C.size):
+        slack = apply_At(it.p, it.q)
+        np.subtract(slack, C, out=slack)
+        if out is None:
+            return slack
+        out[...] = slack
+        return out
+    if out is None:
+        out = np.empty(C.shape, dtype=np.result_type(it.p, it.q))
+    _par.over_rows(lambda a, b: _slack_rows(C[a:b], it.p[a:b], it.q, out[a:b]), len(C))
+    return out
+
+
+def _slack_rows(C: np.ndarray, p: np.ndarray, q: np.ndarray, out: np.ndarray) -> None:
+    """p 1^T + 1 q^T - C on a range of rows, into ``out``: the bits of
+    ``apply_At`` and the subtraction, since addition commutes."""
+    # Copying q into every row allocates nothing; a second broadcast operand
+    # would make the ufunc allocate another buffer, in every task at once.
+    np.copyto(out, q)
+    out += p[:, None]
+    out -= C
 
 
 def kkt_error(prob: OTProblem, it: Iterate, slack: np.ndarray | None = None) -> float:
@@ -56,14 +77,27 @@ def kkt_error(prob: OTProblem, it: Iterate, slack: np.ndarray | None = None) -> 
     written, so the next ``pdhg_step`` can take it too. A NaN or infinite
     entry in X, p or q makes the result non-finite.
     """
-    rows, cols = apply_A(it.X)
+    if not _par.split(it.X.size):
+        rows, cols = apply_A(it.X)
+        if slack is None:
+            violation = dual_slack(prob, it)
+            np.maximum(violation, 0.0, out=violation)
+        else:
+            violation = np.maximum(slack, 0.0)
+    else:
+        # One pass: the violation by row ranges, and in the same tasks the
+        # sums of X, which nothing writes.
+        violation = np.empty((prob.m, prob.n), dtype=np.result_type(it.p, it.q))
+
+        def rows_violation(a, b):
+            v = violation[a:b]
+            if slack is None:
+                _slack_rows(prob.C[a:b], it.p[a:b], it.q, v)
+            np.maximum(v if slack is None else slack[a:b], 0.0, out=v)
+
+        rows, cols = _par.over_rows(rows_violation, prob.m, sums_of=it.X)
     primal_row = rows - prob.f
     primal_col = cols - prob.g
-    if slack is None:
-        violation = dual_slack(prob, it)
-        np.maximum(violation, 0.0, out=violation)
-    else:
-        violation = np.maximum(slack, 0.0)
 
     primal_obj = float(np.vdot(prob.C, it.X))
     dual_obj = float(prob.f @ it.p + prob.g @ it.q)

@@ -7,8 +7,9 @@ building it: the forward map is ``X -> (X @ 1, X.T @ 1)`` and the adjoint is
 tests build it to check these two maps against.
 
 Plans are vectorized row-major (``X.ravel()``), matching the flattening used
-for grid images. These sums use numpy's fixed pairwise order, but the solver's
-dot products and norms call BLAS, which may split long vectors across threads:
+for grid images. These sums use numpy's fixed order, whether or not a large
+plan's passes are split over threads (see ``_par``), but the solver's dot
+products and norms call BLAS, which may split long vectors across threads:
 a run is byte-identical only for a fixed BLAS thread count.
 """
 
@@ -16,10 +17,14 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import _par
+
 
 def apply_A(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Row sums and column sums of the plan, i.e. the constraint map."""
-    return X.sum(axis=1), X.sum(axis=0)
+    if not _par.split(X.size):
+        return X.sum(axis=1), X.sum(axis=0)
+    return _par.over_rows(None, len(X), sums_of=X)
 
 
 def apply_At(p: np.ndarray, q: np.ndarray) -> np.ndarray:

@@ -19,6 +19,9 @@ Two operating modes:
 starting point and one for each restart. The report's restart fields are
 derived from those records, and an optional ``on_restart`` callback receives
 each record as it is made.
+
+On a large plan every plan-sized pass of an iteration runs on several
+threads (see ``_par``), with the bytes of one thread.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _par
 from .instance import OTProblem
 from .kkt import Iterate, dual_slack, kkt_error
 # apply_At is not called here since dual_slack took it over, but the
@@ -100,16 +104,30 @@ def pdhg_step(prob: OTProblem, it: Iterate, tau: float, sigma: float, slack: np.
     ``slack`` must be ``dual_slack(prob, it)``. The step overwrites it with
     the extrapolated plan 2 X_next - X, so it is scratch afterwards.
     """
-    # X + tau S has the bits of X - tau (C - p 1^T - 1 q^T): negation is exact.
-    X_next = tau * slack
-    X_next += it.X
-    np.maximum(X_next, 0.0, out=X_next)
-    extra = np.multiply(X_next, 2.0, out=slack)
-    extra -= it.X
-    rows, cols = apply_A(extra)
+    X = it.X
+    if _par.split(X.size):
+        X_next = np.empty_like(slack)
+        _par.over_rows(lambda a, b: _step_rows(X[a:b], tau, slack[a:b], X_next[a:b]), len(X))
+    else:
+        X_next = _step_rows(X, tau, slack)
+    rows, cols = apply_A(slack)  # of the extrapolated plan 2 X_next - X
     p_next = it.p + sigma * (prob.f - rows)
     q_next = it.q + sigma * (prob.g - cols)
     return Iterate(X_next, p_next, q_next)
+
+
+def _step_rows(
+    X: np.ndarray, tau: float, slack: np.ndarray, X_next: np.ndarray | None = None
+) -> np.ndarray:
+    """X_next = max(X + tau S, 0), in ``X_next`` if given, then S = 2 X_next - X;
+    on the whole plan or on a range of its rows."""
+    # X + tau S has the bits of X - tau (C - p 1^T - 1 q^T): negation is exact.
+    X_next = np.multiply(tau, slack, out=X_next)
+    X_next += X
+    np.maximum(X_next, 0.0, out=X_next)
+    np.multiply(X_next, 2.0, out=slack)
+    slack -= X
+    return X_next
 
 
 def stepsize_bound(it: Iterate, it_next: Iterate, omega: float, work: np.ndarray) -> float:
@@ -120,7 +138,11 @@ def stepsize_bound(it: Iterate, it_next: Iterate, omega: float, work: np.ndarray
     infinite when the coupling vanishes. The plan displacement is written
     into ``work``, a plan-shaped array.
     """
-    dX = np.subtract(it_next.X, it.X, out=work)
+    dX = work
+    if _par.split(dX.size):
+        _par.over_rows(lambda a, b: np.subtract(it_next.X[a:b], it.X[a:b], out=dX[a:b]), len(dX))
+    else:
+        np.subtract(it_next.X, it.X, out=dX)
     dp = it_next.p - it.p
     dq = it_next.q - it.q
     numer = omega * float(np.vdot(dX, dX)) + (
@@ -172,7 +194,19 @@ def should_restart(
 def _mean_step(new: np.ndarray, average: np.ndarray, k: int) -> np.ndarray:
     """(new - average) / k + average, in one new array: the bits of
     average + (new - average) / k, since addition commutes."""
-    out = new - average
+    if not _par.split(new.size):
+        return _mean_rows(new, average, k)
+    out = np.empty(new.shape, dtype=np.result_type(new, average))
+    _par.over_rows(lambda a, b: _mean_rows(new[a:b], average[a:b], k, out[a:b]), len(out))
+    return out
+
+
+def _mean_rows(
+    new: np.ndarray, average: np.ndarray, k: int, out: np.ndarray | None = None
+) -> np.ndarray:
+    """(new - average) / k + average, in ``out`` if given; on whole arrays or
+    on a range of rows."""
+    out = np.subtract(new, average, out=out)
     out /= k
     out += average
     return out
@@ -208,7 +242,7 @@ def _accepted_step(
         # The rejected trial goes first, and the slack is rebuilt in place:
         # the caller holds it, and a second plan-sized array would raise the peak.
         del trial
-        slack[...] = dual_slack(prob, it)
+        dual_slack(prob, it, out=slack)
     raise RuntimeError("step-size line search failed to find an admissible eta")
 
 

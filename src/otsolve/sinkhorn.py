@@ -9,7 +9,7 @@ The first pass runs in the log domain (``_update_phi``, ``_update_psi``: a
 max-shifted log-sum-exp over a K-shaped work buffer, see ``_logsumexp``).
 Then the potentials are absorbed into a kernel (Schmitzer, arXiv:1610.06519,
 3): a = a0 + log u and b = b0 + log v with G = exp(a0 + b0 - K), formed by
-``_plan`` in the work buffer, and each later pass is two BLAS matrix-vector
+``_kernel`` in the work buffer, and each later pass is two BLAS matrix-vector
 products, v = g / (G^T u), then u+ = f / (G v). When max|log u+| or
 max|log v| exceeds _TAU = 100, the next pass first absorbs them into a new G
 (a0 += log u+, b0 += log v, u = 1).
@@ -117,7 +117,8 @@ _TAU = 100.0
 _SCALE_LO = math.exp(-_TAU)
 _SCALE_HI = math.exp(_TAU)
 _FLUSH = math.exp(-600.0)
-_FLUSHED_ROW = math.exp(-601.0)
+_FLUSH_EXPONENT = -601.0  # an entry of G with a lower exponent is flushed
+_FLUSHED_ROW = math.exp(_FLUSH_EXPONENT)
 _TINY = float(np.finfo(np.float64).tiny)
 _HUGE = float(np.finfo(np.float64).max)
 
@@ -157,8 +158,17 @@ def _plan(a: np.ndarray, b: np.ndarray, K: np.ndarray, out: np.ndarray) -> np.nd
 
 
 def _kernel(a0: np.ndarray, b0: np.ndarray, K: np.ndarray, work: np.ndarray) -> np.ndarray:
-    """The absorbed kernel exp(a0_i + b0_j - K_ij) in ``work``, entries below e^-600 set to 0."""
-    G = _plan(a0, b0, K, work)
+    """The absorbed kernel exp(a0_i + b0_j - K_ij) in ``work``, entries below e^-600 set to 0.
+
+    Exponents below -601 are raised to -601 before ``exp``, which is several
+    times slower where its result is subnormal or 0. That keeps the bytes of
+    G: such an entry is below e^-601 either way, so it is flushed either way,
+    and an exponent at or above -601 is not changed.
+    """
+    G = np.add(a0[:, None], b0[None, :], out=work)
+    G -= K
+    np.maximum(G, _FLUSH_EXPONENT, out=G)
+    np.exp(G, out=G)
     np.copyto(G, 0.0, where=G < _FLUSH)
     return G
 

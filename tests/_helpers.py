@@ -1,8 +1,24 @@
 """Shared test utilities."""
 
+import importlib.util
+import sys
+from pathlib import Path
+
 import numpy as np
 
 from otsolve import CostMatrix, Iterate, Marginal, OTProblem
+
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def load_perfbench(name: str):
+    """The module ``perfbench/<name>.py``, loaded from its file."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up there
+    spec.loader.exec_module(module)
+    return module
 
 
 def make_problem(C, f, g) -> OTProblem:

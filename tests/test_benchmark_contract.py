@@ -6,25 +6,14 @@ resolves is reported as "absent" instead of failing, so these tests catch
 a rename or removal before it silently empties a per-layer metric.
 """
 
-import importlib.util
-import sys
 from dataclasses import fields
 from functools import reduce
-from pathlib import Path
 
 import pytest
 
 import otsolve
 
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
-
-
-def load(name):
-    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # dataclasses look their module up there
-    spec.loader.exec_module(module)
-    return module
+from _helpers import load_perfbench as load
 
 
 @pytest.mark.parametrize("module, attr, span", load("spans").TRACED)

@@ -428,11 +428,17 @@ class TestSolve:
         assert kkt_error(prob, it) == report.final_relative_kkt
 
     @pytest.mark.parametrize(
-        "mode, iters, bound", [(FIXED_BETA, 400, 5.5), (ADAPTIVE, 60, 6.5)], ids=[FIXED_BETA, ADAPTIVE]
+        "mode, iters, bound, workers",
+        [(FIXED_BETA, 400, 5.5, 1), (ADAPTIVE, 60, 6.5, 1), (FIXED_BETA, 400, 5.5, 2),
+         (ADAPTIVE, 60, 6.5, 2)],
+        ids=[FIXED_BETA, ADAPTIVE, f"{FIXED_BETA}-split", f"{ADAPTIVE}-split"],
     )
-    def test_peak_memory(self, mode, iters, bound):
+    def test_peak_memory(self, mode, iters, bound, workers, split_passes):
         # The solve's peak allocation, in plan-sized arrays above the problem.
-        # A copied or needlessly kept iterate costs one more array.
+        # A copied or needlessly kept iterate costs one more array, and so
+        # would a pass split over threads that needed one.
+        if workers > 1:
+            split_passes(workers)
         prob = grid_problem("shapes", 16, "l1", seed=11)
         tracemalloc.start()
         try:

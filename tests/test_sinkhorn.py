@@ -319,6 +319,20 @@ class TestSinkhornSolve:
         assert np.array_equal(G, np.where(X < FLUSH, 0.0, X))
         assert np.count_nonzero((X > 0) & (G == 0)) == 8
 
+    def test_kernel_clip_keeps_the_bytes(self):
+        # exponents straddling -601, where _kernel clips, and -600, where it flushes
+        rng = np.random.default_rng(23)
+        for _ in range(20):
+            K = rng.uniform(0.0, 50.0, (30, 40))
+            a0 = rng.uniform(-580.0, -550.0, 30)
+            b0 = rng.uniform(-5.0, 5.0, 40)
+            exponents = a0[:, None] + b0[None, :] - K
+            assert exponents.min() < -601.0 < -600.0 < exponents.max()
+            plan = _plan(a0, b0, K, np.empty_like(K))
+            flushed = np.where(plan < FLUSH, 0.0, plan)
+            G = _kernel(a0, b0, K, np.empty_like(K))
+            assert G.tobytes() == flushed.tobytes()
+
     @pytest.mark.parametrize("zero_mass", [False, True])
     def test_inputs_not_written(self, zero_mass):
         # The solve divides its copy of the cost in place; with every marginal
@@ -397,24 +411,30 @@ class TestSinkhornSolve:
         np.testing.assert_allclose(plan, 0.25, rtol=0, atol=1e-15)
 
     def test_plan_formed_at_start_and_exit(self, monkeypatch):
-        # besides the start and the exit, _plan builds each absorbed kernel
-        calls = []
+        # _kernel, not _plan, builds each absorbed kernel
+        calls, kernel_calls = [], []
 
         def counted(*args):
             calls.append(1)
             return _plan(*args)
 
+        def counted_kernel(*args):
+            kernel_calls.append(1)
+            return _kernel(*args)
+
         monkeypatch.setattr(otsolve.sinkhorn, "_plan", counted)
+        monkeypatch.setattr(otsolve.sinkhorn, "_kernel", counted_kernel)
         prob = random_problem(np.random.default_rng(3), 4, 5)
         kernel_counts = []
         for eps in (0.1, 0.001):
             for max_iters, termination in ((7, "iteration_limit"), (100_000, "tolerance")):
                 calls.clear()
+                kernel_calls.clear()
                 cfg = SinkhornConfig(penalty=eps, max_iters=max_iters)
                 _, _, report = sinkhorn_solve(prob, cfg)
                 kernels = len(gemv_sinkhorn(prob, eps, cfg.tol, max_iters)[-1])
                 assert report.termination_reason == termination and report.iterations >= 7
-                assert len(calls) == 2 + kernels
+                assert len(calls) == 2 and len(kernel_calls) == kernels
                 kernel_counts.append(kernels)
         assert kernel_counts == [1, 1, 1, 4]
         calls.clear()
