@@ -14,6 +14,10 @@ sequentially over the rows, so a column range's sums have them too, as long
 as the range is at least two columns wide (a one-column range would be
 summed pairwise). A task calls numpy only, and runs in a copy of the
 caller's context, so that the caller's ``np.errstate`` holds in it.
+
+Plans are float64 and C-ordered, as every plan a solve makes is. A direct
+``kkt_error`` or ``apply_A`` call on another dtype or layout still gets
+correct values, but the last bits of its sums may depend on W.
 """
 
 from __future__ import annotations
@@ -109,22 +113,16 @@ def over_rows(
     """
     bounds = _bounds(rows, _WORKERS)
     X = sums_of
-    split_sums = X is not None and X.dtype == np.float64 and X.flags.c_contiguous
-    if split_sums:
+    sums = None
+    if X is not None:
         sums = np.empty(rows), np.empty(X.shape[1])
         col_bounds = _bounds(X.shape[1], _WORKERS, min_width=2)
-    elif X is not None:  # another dtype or layout: summed whole
-        sums = X.sum(axis=1), X.sum(axis=0)
-    else:
-        sums = None
-    if fn is None and not split_sums:
-        return sums
 
     def task(i):
         a, b = bounds[i], bounds[i + 1]
         if fn is not None and a < b:
             fn(a, b)
-        if split_sums:
+        if X is not None:
             X[a:b].sum(axis=1, out=sums[0][a:b])
             a, b = col_bounds[i], col_bounds[i + 1]
             X[:, a:b].sum(axis=0, out=sums[1][a:b])

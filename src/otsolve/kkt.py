@@ -18,6 +18,7 @@ import numpy as np
 
 from . import _par
 from .instance import OTProblem
+# apply_At is not called here, but the benchmark's tracer wraps it under this name.
 from .operator import apply_A, apply_At
 
 
@@ -26,7 +27,7 @@ class Iterate:
     """Primal plan and the two dual vectors.
 
     A value: ``solve`` writes into no iterate, ``initial`` included, and may
-    return ``initial`` itself or one that shares arrays with a restart point.
+    return one that shares arrays with ``initial`` or with a restart point.
     """
 
     X: np.ndarray
@@ -43,24 +44,20 @@ def dual_slack(prob: OTProblem, it: Iterate, out: np.ndarray | None = None) -> n
     whose positive part is the dual violation and whose negation is the
     reduced cost."""
     C = prob.C
-    if not _par.split(C.size):
-        slack = apply_At(it.p, it.q)
-        np.subtract(slack, C, out=slack)
-        if out is None:
-            return slack
-        out[...] = slack
-        return out
     if out is None:
-        out = np.empty(C.shape, dtype=np.result_type(it.p, it.q))
-    _par.over_rows(lambda a, b: _slack_rows(C[a:b], it.p[a:b], it.q, out[a:b]), len(C))
+        out = np.empty(C.shape)
+    if _par.split(C.size):
+        _par.over_rows(lambda a, b: _slack_rows(C[a:b], it.p[a:b], it.q, out[a:b]), len(C))
+    else:
+        _slack_rows(C, it.p, it.q, out)
     return out
 
 
 def _slack_rows(C: np.ndarray, p: np.ndarray, q: np.ndarray, out: np.ndarray) -> None:
-    """p 1^T + 1 q^T - C on a range of rows, into ``out``: the bits of
-    ``apply_At`` and the subtraction, since addition commutes."""
+    """p 1^T + 1 q^T - C into ``out``, on the whole plan or a range of rows:
+    the bits of ``apply_At`` and the subtraction, since addition commutes."""
     # Copying q into every row allocates nothing; a second broadcast operand
-    # would make the ufunc allocate another buffer, in every task at once.
+    # would make the ufunc allocate another buffer, in every split task at once.
     np.copyto(out, q)
     out += p[:, None]
     out -= C
@@ -87,7 +84,7 @@ def kkt_error(prob: OTProblem, it: Iterate, slack: np.ndarray | None = None) -> 
     else:
         # One pass: the violation by row ranges, and in the same tasks the
         # sums of X, which nothing writes.
-        violation = np.empty((prob.m, prob.n), dtype=np.result_type(it.p, it.q))
+        violation = np.empty((prob.m, prob.n))
 
         def rows_violation(a, b):
             v = violation[a:b]

@@ -192,11 +192,11 @@ def should_restart(
 
 
 def _mean_step(new: np.ndarray, average: np.ndarray, k: int) -> np.ndarray:
-    """(new - average) / k + average, in one new array: the bits of
+    """(new - average) / k + average of two plans, in one new array: the bits of
     average + (new - average) / k, since addition commutes."""
     if not _par.split(new.size):
         return _mean_rows(new, average, k)
-    out = np.empty(new.shape, dtype=np.result_type(new, average))
+    out = np.empty(new.shape)
     _par.over_rows(lambda a, b: _mean_rows(new[a:b], average[a:b], k, out[a:b]), len(out))
     return out
 
@@ -262,8 +262,10 @@ def solve(
     The first step uses ``default_stepsize(prob)`` and primal weight 1.
     ``on_restart``, if given, is called with the ``RestartRecord`` of the
     starting point and then with that of each restart, as they happen.
+    ``initial``'s blocks may be any real array-likes; each is taken as a
+    float64, C-ordered array, without a copy if it already is one.
     ``solve`` never writes into an iterate, ``initial`` included; the one it
-    returns may be ``initial`` itself or share arrays with a record's ``point``.
+    returns may share arrays with ``initial`` or with a record's ``point``.
     A mis-shaped ``initial``, or one with a non-finite entry or with X < 0, is a ``ValueError``.
     """
     if config is None:
@@ -272,8 +274,9 @@ def solve(
     if initial is None:
         it = Iterate.zeros(prob.m, prob.n)
     else:
-        it = initial
-        shapes = (np.shape(it.X), np.shape(it.p), np.shape(it.q))
+        blocks = (initial.X, initial.p, initial.q)
+        it = Iterate(*(np.asarray(b, dtype=np.float64, order="C") for b in blocks))
+        shapes = (it.X.shape, it.p.shape, it.q.shape)
         expected = ((prob.m, prob.n), (prob.m,), (prob.n,))
         if shapes != expected:
             raise ValueError(f"initial (X, p, q) has shapes {shapes}, expected {expected}")
@@ -321,8 +324,8 @@ def solve(
         # Uniform running mean of the inner iterates since the last restart.
         average = Iterate(
             _mean_step(it.X, average.X, k),
-            _mean_step(it.p, average.p, k),
-            _mean_step(it.q, average.q, k),
+            _mean_rows(it.p, average.p, k),
+            _mean_rows(it.q, average.q, k),
         )
 
         # The step spent the slack; it is replaced only now, after the

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 
-from otsolve import CostMatrix, Iterate, Marginal, OTProblem
+from otsolve import CostMatrix, Iterate, Marginal, OTProblem, solve
 
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -42,3 +42,18 @@ def two_by_two_optimal():
     prob = make_problem([[0.0, 1.0], [1.0, 0.0]], [0.5, 0.5], [0.5, 0.5])
     it = Iterate(np.diag([0.5, 0.5]), np.zeros(2), np.zeros(2))
     return prob, it
+
+
+def blocks(it: Iterate) -> list[bytes]:
+    return [block.tobytes() for block in (it.X, it.p, it.q)]
+
+
+def solve_bytes(prob, cfg, initial=None):
+    """The bits of a solve: the returned iterate, every restart record and
+    the report (wall time zeroed)."""
+    records = []
+    it, report = solve(prob, cfg, initial=initial, on_restart=records.append)
+    report.wall_time_s = 0.0
+    restarts = [(r.iteration, r.length, r.kkt, r.candidate, r.eta, r.omega, blocks(r.point))
+                for r in records]
+    return blocks(it), restarts, report.to_json()

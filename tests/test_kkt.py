@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 from otsolve import Iterate, kkt_error
 from otsolve.kkt import dual_slack
 
-from _helpers import make_problem, two_by_two_optimal
+from _helpers import make_problem, random_iterate, random_problem, two_by_two_optimal
 
 
 class TestKKTError:
@@ -69,6 +70,22 @@ class TestKKTError:
         assert slack.tobytes() == (it.p[:, None] + it.q[None, :] - prob.C).tobytes()
         assert kkt_error(prob, it, slack) == kkt_error(prob, it)
         assert slack.tobytes() == before
+
+    def test_slack_into_out_allocates_under_half_a_plan(self):
+        rng = np.random.default_rng(7)
+        prob = random_problem(rng, 256, 256)
+        it = random_iterate(rng, 256, 256)
+        expected = dual_slack(prob, it).tobytes()
+        out = np.empty((256, 256))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            assert dual_slack(prob, it, out=out) is out
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (peak - before) / out.nbytes < 0.5
+        assert out.tobytes() == expected
 
     def test_huge_finite_dual_stays_finite(self):
         # the gap and its normalizer are both ~1e200 here; squaring the gap

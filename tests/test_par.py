@@ -7,32 +7,22 @@ the plan, so that these tests run the threaded path on small problems.
 import importlib
 import os
 import signal
+import subprocess
+import sys
 import threading
 import time
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import otsolve
 from otsolve import Iterate, SolverConfig, grid_problem, solve
 from otsolve import _par
 from otsolve.pdhg import ADAPTIVE, FIXED_BETA
 
-from _helpers import load_perfbench, random_iterate, random_problem
-
-
-def blocks(it):
-    return [block.tobytes() for block in (it.X, it.p, it.q)]
-
-
-def solve_bytes(prob, cfg, initial=None):
-    """The returned iterate, every restart record and the report (wall time zeroed)."""
-    records = []
-    it, report = solve(prob, cfg, initial=initial, on_restart=records.append)
-    report.wall_time_s = 0.0
-    restarts = [(r.iteration, r.length, r.kkt, r.candidate, r.eta, r.omega, blocks(r.point))
-                for r in records]
-    return blocks(it), restarts, report.to_json()
+from _helpers import load_perfbench, random_iterate, random_problem, solve_bytes
 
 
 @pytest.mark.parametrize("mode", [ADAPTIVE, FIXED_BETA])
@@ -42,7 +32,7 @@ def solve_bytes(prob, cfg, initial=None):
     (4, 9, False),
     (2, 9, False),  # fewer rows than workers
     (9, 3, False),  # too few columns for a range of two per worker
-    (5, 8, True),   # a Fortran-ordered initial plan
+    (5, 8, True),   # a Fortran-ordered initial plan, which solve converts
 ])
 def test_bytes_do_not_depend_on_workers(split_passes, mode, m, n, fortran):
     rng = np.random.default_rng(m * 10 + n)
@@ -100,6 +90,19 @@ def test_small_solve_starts_no_thread(monkeypatch):
     solve(prob, SolverConfig(tol=1e-12, max_iters=20))
     assert threading.active_count() == before
     assert _par._pool is None
+
+
+def test_small_solve_imports_no_pool_modules():
+    # The pool's modules are imported with the pool: the set-up times of the
+    # small benchmark workloads follow the heap layout that imports leave.
+    code = ("import sys, otsolve\n"
+            "prob = otsolve.grid_problem('shapes', 16, 'l1', seed=11)\n"
+            "otsolve.solve(prob, otsolve.SolverConfig(tol=1e-12, max_iters=20))\n"
+            "print([m for m in ('concurrent.futures', 'logging') if m in sys.modules])")
+    src = Path(otsolve.__file__).resolve().parents[1]
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": str(src)}, timeout=300).stdout
+    assert out.strip() == "[]"
 
 
 def test_split_solve_starts_at_most_w_minus_one_threads(split_passes):

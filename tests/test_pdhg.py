@@ -21,7 +21,9 @@ from otsolve.pdhg import (
     stepsize_bound,
 )
 
-from _helpers import make_problem, random_iterate, random_problem, two_by_two_optimal
+from _helpers import (
+    blocks, make_problem, random_iterate, random_problem, solve_bytes, two_by_two_optimal,
+)
 from _oracles import (
     materialize_A,
     unshared_kkt_error,
@@ -274,6 +276,26 @@ class TestSolve:
         assert report.solved
         assert report.iterations == 0
 
+    @pytest.mark.parametrize("form", [
+        lambda b: np.rint(4.0 * b).astype(np.int64),
+        lambda b: b > 0.3,
+        lambda b: b.astype(np.float32),
+        lambda b: b.tolist(),
+        lambda b: np.asfortranarray(b),
+    ], ids=["int64", "bool", "float32", "lists", "fortran"])
+    def test_initial_taken_as_float64_c_order(self, form):
+        # the bits of the float64, C-ordered initial with the same values
+        rng = np.random.default_rng(9)
+        prob = random_problem(rng, 4, 6)
+        start = random_iterate(rng, 4, 6)
+        given = Iterate(form(start.X), form(start.p), form(start.q))
+        same = Iterate(*(np.array(b, dtype=np.float64, order="C") for b in
+                         (given.X, given.p, given.q)))
+        cfg = SolverConfig(tol=1e-8, max_iters=300)
+        expected = solve_bytes(prob, cfg, same)
+        assert len(expected[1]) >= 3  # the start and at least two restarts
+        assert solve_bytes(prob, cfg, given) == expected
+
     @pytest.mark.parametrize("X, p, q, shapes", [
         (np.zeros((3, 4)), np.zeros((3, 1)), np.zeros(4), "((3, 4), (3, 1), (4,))"),
         (np.zeros((4, 3)), np.zeros(3), np.zeros(4), "((4, 3), (3,), (4,))"),
@@ -408,10 +430,6 @@ class TestSolve:
         rng = np.random.default_rng(21)
         prob = random_problem(rng, 4, 5)
         initial = random_iterate(rng, 4, 5)
-
-        def blocks(it):
-            return [block.tobytes() for block in (it.X, it.p, it.q)]
-
         seen = [(initial, blocks(initial))]
         records = []
 
@@ -555,19 +573,11 @@ class TestSolve:
         assert back == report
 
 
-def solve_bytes(prob, cfg, initial=None):
-    """A solve's returned bytes, restart sources and report (wall time zeroed)."""
-    records = []
-    it, report = solve(prob, cfg, initial=initial, on_restart=records.append)
-    report.wall_time_s = 0.0
-    return ([block.tobytes() for block in (it.X, it.p, it.q)],
-            [r.candidate for r in records], report.to_json())
-
-
 def use_unshared(monkeypatch):
     """Give the solver the arithmetic in which no reduced cost is shared."""
     for name, fn in (("pdhg_step", unshared_pdhg_step), ("stepsize_bound", unshared_stepsize_bound),
-                     ("kkt_error", unshared_kkt_error), ("_mean_step", unshared_mean_step)):
+                     ("kkt_error", unshared_kkt_error), ("_mean_step", unshared_mean_step),
+                     ("_mean_rows", unshared_mean_step)):
         monkeypatch.setattr(otsolve.pdhg, name, fn)
 
 
@@ -597,35 +607,37 @@ class TestSharedSlack:
         iterations = sum(int(re.search(r'"iterations": (\d+)', s[2])[1]) for s in shared)
         if mode == ADAPTIVE:
             assert len(steps) > iterations  # the line search rejected some trials
-        assert sum(s[1].count("average") for s in shared) >= 10  # restarts the average won
+        # restarts the average won
+        assert sum(r[3] == "average" for s in shared for r in s[1]) >= 10
         use_unshared(monkeypatch)
         assert [solve_bytes(prob, cfg, initial) for prob, initial in cases] == shared
 
     @pytest.mark.parametrize("mode", [ADAPTIVE, FIXED_BETA])
     def test_adjoint_calls(self, monkeypatch, mode):
+        # counted where p 1^T + 1 q^T is built, in the slack of a point:
         # the start and each step's iterate build their slack once; the
         # average's KKT error builds its own; a rejected trial's retry and a
         # restart the average wins rebuild the current slack
-        adjoint = []
-        real = otsolve.kkt.apply_At
+        builds = []
+        real = otsolve.kkt._slack_rows
 
-        def counted(p, q):
-            adjoint.append(1)
-            return real(p, q)
+        def counted(*args):
+            builds.append(1)
+            return real(*args)
 
-        monkeypatch.setattr(otsolve.kkt, "apply_At", counted)
+        monkeypatch.setattr(otsolve.kkt, "_slack_rows", counted)
         steps = record_steps(monkeypatch)
         retried = won = 0
         for seed in range(3):
             prob = random_problem(np.random.default_rng(seed), 4, 6)
-            adjoint.clear()
+            builds.clear()
             steps.clear()
             records = []
             _, report = solve(prob, SolverConfig(tol=1e-8, restart_mode=mode, max_iters=5000),
                               on_restart=records.append)
             retries = len(steps) - report.iterations
             averages = sum(r.candidate == "average" for r in records)
-            assert len(adjoint) == 1 + 2 * report.iterations + retries + averages
+            assert len(builds) == 1 + 2 * report.iterations + retries + averages
             retried += retries
             won += averages
         assert won > 0 and (retried > 0) == (mode == ADAPTIVE)
