@@ -35,7 +35,7 @@ import numpy as np
 
 from . import _par
 from .instance import OTProblem
-from .kkt import Iterate, dual_slack, kkt_error
+from .kkt import Iterate, dual_slack, kkt_error, positive_part
 # apply_At is not called here since dual_slack took it over, but the
 # benchmark's tracer still wraps it under this module's name.
 from .operator import apply_A, apply_At
@@ -120,11 +120,12 @@ def _step_rows(
     X: np.ndarray, tau: float, slack: np.ndarray, X_next: np.ndarray | None = None
 ) -> np.ndarray:
     """X_next = max(X + tau S, 0), in ``X_next`` if given, then S = 2 X_next - X;
-    on the whole plan or on a range of its rows."""
+    on the whole plan or on a range of its rows. The projection is
+    ``positive_part``: the bytes of ``np.maximum(X_next, 0.0)``, against zeros."""
     # X + tau S has the bits of X - tau (C - p 1^T - 1 q^T): negation is exact.
     X_next = np.multiply(tau, slack, out=X_next)
     X_next += X
-    np.maximum(X_next, 0.0, out=X_next)
+    positive_part(X_next, out=X_next)
     np.multiply(X_next, 2.0, out=slack)
     slack -= X
     return X_next

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import otsolve.kkt
 from otsolve import Iterate, kkt_error
-from otsolve.kkt import dual_slack
+from otsolve.kkt import dual_slack, positive_part
 
 from _helpers import make_problem, random_iterate, random_problem, two_by_two_optimal
 
@@ -128,3 +129,113 @@ def test_non_finite_entry_makes_error_non_finite(case):
     prob, it = case
     with np.errstate(all="ignore"):
         assert not math.isfinite(kkt_error(prob, it))
+
+
+# Entries on which a maximum could tell its two forms apart: signed zeros,
+# NaNs of both signs with payloads (quiet and signalling), infinities and
+# subnormals, as float64 bit patterns.
+_SPECIAL_BITS = np.array([
+    0x8000000000000000,  # -0.0
+    0x0000000000000000,
+    0x7FF8000000000000, 0xFFF8000000000000,  # the quiet NaNs
+    0x7FF8000000000ABC, 0xFFF80000DEADBEEF,  # quiet NaNs with payloads
+    0x7FF0000000000001, 0xFFF4000000000123,  # signalling NaNs with payloads
+    0x7FF0000000000000, 0xFFF0000000000000,  # +inf, -inf
+    0x0000000000000001, 0x8000000000000001,  # the smallest subnormals
+    0x000FFFFFFFFFFFFF, 0x800FFFFFFFFFFFFF,  # the largest subnormals
+], dtype=np.uint64).view(np.float64)
+_ROW_ENTRIES = otsolve.kkt._ZERO_ENTRIES
+
+
+@st.composite
+def special_array(
+    draw, sizes=(1, 25, _ROW_ENTRIES - 1, _ROW_ENTRIES, _ROW_ENTRIES + 1, 3 * _ROW_ENTRIES + 5)
+):
+    """A float64 array of one of ``sizes`` entries, normal draws with special
+    entries planted at drawn places."""
+    size = draw(st.sampled_from(sizes))
+    a = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).standard_normal(size)
+    places = draw(st.lists(st.integers(0, size - 1), min_size=1, max_size=40))
+    a[places] = _SPECIAL_BITS[draw(st.lists(st.integers(0, len(_SPECIAL_BITS) - 1),
+                                            min_size=len(places), max_size=len(places)))]
+    return a
+
+
+_LAYOUTS = ["fortran", "strided", "float32", "fortran out"]
+
+
+def _in_layout(X, layout):
+    """``X`` as an input, and an ``out``, that positive_part hands to the scalar call."""
+    if layout == "fortran":
+        return np.asfortranarray(X), None
+    if layout == "strided":
+        return X[::2], None
+    if layout == "float32":
+        with np.errstate(all="ignore"):  # the cast of a NaN or a huge entry
+            return X.astype(np.float32), None
+    return X, np.empty(X.shape, order="F")
+
+
+def _assert_zero_row_intact():
+    row = otsolve.kkt._zero_row
+    assert row is not None and not row.flags.writeable
+    assert row.tobytes() == bytes(8 * _ROW_ENTRIES)  # +0.0 everywhere
+
+
+class TestPositivePart:
+    """positive_part has the bytes of np.maximum(a, 0.0) on every input."""
+
+    @given(special_array(), st.sampled_from(["new", "in place", "into out"]))
+    def test_bytes_of_the_scalar_maximum(self, a, form):
+        expected = np.maximum(a, 0.0)
+        with np.errstate(all="raise"):  # NaN and inf raise in neither form
+            np.maximum(a, 0.0)
+            if form == "new":
+                got = positive_part(a)
+            elif form == "in place":
+                got = positive_part(a, out=a)
+                assert got is a
+            else:
+                out = np.empty_like(a)
+                assert positive_part(a, out=out) is out
+                got = out
+        assert got.dtype == np.float64 and got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
+        _assert_zero_row_intact()
+
+    @given(special_array(sizes=(3 * _ROW_ENTRIES + 5,)), st.integers(1, 61), st.data())
+    def test_row_ranges_of_a_plan(self, flat, n, data):
+        # the row ranges that split tasks hand over, some above the zero row's length
+        X = flat[: flat.size // n * n].reshape(-1, n)
+        a = data.draw(st.integers(0, len(X) - 1))
+        b = data.draw(st.integers(a + 1, len(X)))
+        expected = np.maximum(X[a:b], 0.0)
+        out = np.full(X.shape, 7.0)
+        assert positive_part(X[a:b]).tobytes() == expected.tobytes()
+        positive_part(X[a:b], out=out[a:b])
+        assert out[a:b].tobytes() == expected.tobytes()
+        assert (out[:a] == 7.0).all() and (out[b:] == 7.0).all()  # no write outside the range
+        before = X.copy()
+        positive_part(X[a:b], out=X[a:b])
+        assert X[a:b].tobytes() == expected.tobytes()
+        assert X[:a].tobytes() == before[:a].tobytes() and X[b:].tobytes() == before[b:].tobytes()
+        _assert_zero_row_intact()
+
+    @given(special_array(sizes=(25, 3 * _ROW_ENTRIES + 5)), st.sampled_from(_LAYOUTS))
+    def test_other_layouts_keep_the_bytes(self, flat, layout):
+        a, out = _in_layout(flat[: flat.size // 5 * 5].reshape(-1, 5), layout)
+        expected = np.maximum(a, 0.0)
+        with np.errstate(all="raise"):
+            got = positive_part(a, out=out)
+        assert got.dtype == expected.dtype and got.shape == expected.shape
+        assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(expected).tobytes()
+
+    @pytest.mark.parametrize("layout", _LAYOUTS)
+    def test_other_layouts_take_the_scalar_call(self, layout, monkeypatch):
+        monkeypatch.setattr(otsolve.kkt, "_zero_row", None)
+        monkeypatch.setattr(otsolve.kkt, "_zero_view", None)
+        a, out = _in_layout(np.arange(-6.0, 6.0).reshape(4, 3), layout)
+        positive_part(a, out=out)
+        assert otsolve.kkt._zero_row is None and otsolve.kkt._zero_view is None
+        positive_part(np.ascontiguousarray(a, dtype=np.float64))
+        _assert_zero_row_intact()

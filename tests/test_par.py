@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 import otsolve
+import otsolve.kkt
 from otsolve import Iterate, SolverConfig, grid_problem, solve
 from otsolve import _par
 from otsolve.pdhg import ADAPTIVE, FIXED_BETA
@@ -103,6 +104,54 @@ def test_small_solve_imports_no_pool_modules():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
                          env={**os.environ, "PYTHONPATH": str(src)}, timeout=300).stdout
     assert out.strip() == "[]"
+
+
+def test_sinkhorn_solve_makes_no_zero_row():
+    # positive_part's zero row is made on first use, not at import: the
+    # set-up times of the small benchmark workloads follow the heap layout.
+    code = ("import otsolve, otsolve.kkt\n"
+            "prob = otsolve.grid_problem('shapes', 8, 'l1', seed=11)\n"
+            "otsolve.sinkhorn_solve(prob, otsolve.SinkhornConfig(penalty=0.05, max_iters=20))\n"
+            "print(otsolve.kkt._zero_row is None, otsolve.kkt._zero_view is None)")
+    src = Path(otsolve.__file__).resolve().parents[1]
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": str(src)}, timeout=300).stdout
+    assert out.strip() == "True True"
+
+
+def test_zero_row_made_first_in_pool_tasks(split_passes, monkeypatch):
+    # The first use of the zero row is in split tasks, more of them than
+    # cores, with the interpreter switching threads as often as it can: every
+    # task must get a whole, read-only row of zeros, and the bytes of the
+    # scalar maximum.
+    rows_seen = []
+    real = otsolve.kkt._zeros
+
+    def recorded():
+        row = real()
+        rows_seen.append(row)
+        return row
+
+    monkeypatch.setattr(otsolve.kkt, "_zeros", recorded)
+    monkeypatch.setattr(otsolve.kkt, "_zero_row", None)  # restored after the test
+    monkeypatch.setattr(otsolve.kkt, "_zero_view", None)
+    split_passes(6)
+    rng = np.random.default_rng(26)
+    X = rng.standard_normal((60, 900))  # 9,000 entries per task: blocks and a tail
+    expected = np.maximum(X, 0.0).tobytes()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            otsolve.kkt._zero_row = otsolve.kkt._zero_view = None
+            out = np.empty_like(X)
+            _par.over_rows(lambda a, b: otsolve.kkt.positive_part(X[a:b], out=out[a:b]), len(X))
+            assert out.tobytes() == expected
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(rows_seen) == 20 * 6
+    for row in rows_seen:
+        assert not row.flags.writeable and row.tobytes() == bytes(row.nbytes)
 
 
 def test_split_solve_starts_at_most_w_minus_one_threads(split_passes):

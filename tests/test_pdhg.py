@@ -612,6 +612,28 @@ class TestSharedSlack:
         use_unshared(monkeypatch)
         assert [solve_bytes(prob, cfg, initial) for prob, initial in cases] == shared
 
+    def test_same_bits_in_split_tasks_on_zero_row_blocks(self, monkeypatch, split_passes):
+        # Each of the two tasks takes 85 rows of 200 entries, more than the
+        # zero row holds, so positive_part runs as (2, 8192) blocks and a
+        # tail inside the pool's tasks.
+        flat_shapes = []
+        real = otsolve.kkt._flat
+
+        def recorded(a, shape):
+            flat_shapes.append(shape)
+            return real(a, shape)
+
+        monkeypatch.setattr(otsolve.kkt, "_flat", recorded)
+        split_passes(2)
+        prob = random_problem(np.random.default_rng(26), 170, 200)
+        cfg = SolverConfig(tol=1e-12, max_iters=300)
+        shared = solve_bytes(prob, cfg)
+        assert '"iterations": 300' in shared[2]
+        assert (2, otsolve.kkt._ZERO_ENTRIES) in flat_shapes
+        assert otsolve._par._pool is not None  # the passes did run on the pool
+        use_unshared(monkeypatch)
+        assert solve_bytes(prob, cfg) == shared
+
     @pytest.mark.parametrize("mode", [ADAPTIVE, FIXED_BETA])
     def test_adjoint_calls(self, monkeypatch, mode):
         # counted where p 1^T + 1 q^T is built, in the slack of a point:
