@@ -50,7 +50,6 @@ class Iterate:
 _ZERO_ENTRIES = 8192
 _FLOAT64 = np.dtype(np.float64)
 _zero_row = None
-_zero_view = None  # the row's view in the last shape of at most _ZERO_ENTRIES
 
 
 def _zeros() -> np.ndarray:
@@ -65,42 +64,30 @@ def _zeros() -> np.ndarray:
     return row
 
 
-def _flat(a: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """A view of ``a`` in ``shape``: setting ``.shape`` raises where a reshape would copy."""
-    view = a.view()
-    view.shape = shape
-    return view
-
-
 def positive_part(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """The bytes of ``np.maximum(a, 0.0, out=out)``, taken against zero arrays.
 
-    A C-contiguous float64 ``a`` (and ``out``, which is ``a`` or shares no
-    memory with it) of up to ``_ZERO_ENTRIES`` entries is compared with a
-    same-shape view of the zero row; a larger one as (q, ``_ZERO_ENTRIES``)
-    blocks of its flat form, plus a tail. Any other dtype or layout takes the
-    scalar call.
+    A C-contiguous float64 ``a`` of more than ``_ZERO_ENTRIES`` entries (and
+    ``out``, which is ``a`` or shares no memory with it) is compared with the
+    zero row as (q, ``_ZERO_ENTRIES``) blocks of its flat form, plus a tail.
+    Any other size, dtype or layout takes the scalar call.
     """
-    global _zero_view
     if not (
-        a.dtype == _FLOAT64 and a.flags.c_contiguous and (
+        a.size > _ZERO_ENTRIES and a.dtype == _FLOAT64 and a.flags.c_contiguous and (
             out is None or out is a
             or (out.dtype == _FLOAT64 and out.flags.c_contiguous and out.shape == a.shape)
         )
     ):
         return np.maximum(a, 0.0, out=out)
-    if a.size <= _ZERO_ENTRIES:
-        zero = _zero_view
-        if zero is None or zero.shape != a.shape:
-            _zero_view = zero = _flat(_zeros()[: a.size], a.shape)
-        return np.maximum(a, zero, out=out)
     if out is None:
         out = np.empty(a.shape)
     zeros = _zeros()
     q, r = divmod(a.size, _ZERO_ENTRIES)
-    body, blocks = q * _ZERO_ENTRIES, (q, _ZERO_ENTRIES)
-    flat_a, flat_out = _flat(a, (a.size,)), _flat(out, (a.size,))
-    np.maximum(_flat(flat_a[:body], blocks), zeros, out=_flat(flat_out[:body], blocks))
+    body = q * _ZERO_ENTRIES
+    # Both arrays are C-contiguous, so each reshape is a view, never a copy.
+    flat_a, flat_out = a.reshape(-1), out.reshape(-1)
+    np.maximum(flat_a[:body].reshape(q, _ZERO_ENTRIES), zeros,
+               out=flat_out[:body].reshape(q, _ZERO_ENTRIES))
     if r:
         np.maximum(flat_a[body:], zeros[:r], out=flat_out[body:])
     return out

@@ -177,8 +177,8 @@ def _in_layout(X, layout):
 
 
 def _assert_zero_row_intact():
-    row = otsolve.kkt._zero_row
-    assert row is not None and not row.flags.writeable
+    row = otsolve.kkt._zeros()  # the row in use, if any array was large enough to make it
+    assert not row.flags.writeable
     assert row.tobytes() == bytes(8 * _ROW_ENTRIES)  # +0.0 everywhere
 
 
@@ -230,12 +230,14 @@ class TestPositivePart:
         assert got.dtype == expected.dtype and got.shape == expected.shape
         assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(expected).tobytes()
 
-    @pytest.mark.parametrize("layout", _LAYOUTS)
+    @pytest.mark.parametrize("layout", _LAYOUTS + ["small"])
     def test_other_layouts_take_the_scalar_call(self, layout, monkeypatch):
         monkeypatch.setattr(otsolve.kkt, "_zero_row", None)
-        monkeypatch.setattr(otsolve.kkt, "_zero_view", None)
-        a, out = _in_layout(np.arange(-6.0, 6.0).reshape(4, 3), layout)
+        X = np.linspace(-1.0, 1.0, 40 * 500).reshape(40, 500)  # 10,000 entries when strided
+        # "small": C-ordered float64 rows, but no more entries than the zero row
+        a, out = (X[:16], None) if layout == "small" else _in_layout(X, layout)
         positive_part(a, out=out)
-        assert otsolve.kkt._zero_row is None and otsolve.kkt._zero_view is None
-        positive_part(np.ascontiguousarray(a, dtype=np.float64))
+        assert otsolve.kkt._zero_row is None
+        positive_part(X)
+        assert otsolve.kkt._zero_row is not None
         _assert_zero_row_intact()

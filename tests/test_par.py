@@ -112,11 +112,11 @@ def test_sinkhorn_solve_makes_no_zero_row():
     code = ("import otsolve, otsolve.kkt\n"
             "prob = otsolve.grid_problem('shapes', 8, 'l1', seed=11)\n"
             "otsolve.sinkhorn_solve(prob, otsolve.SinkhornConfig(penalty=0.05, max_iters=20))\n"
-            "print(otsolve.kkt._zero_row is None, otsolve.kkt._zero_view is None)")
+            "print(otsolve.kkt._zero_row is None)")
     src = Path(otsolve.__file__).resolve().parents[1]
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
                          env={**os.environ, "PYTHONPATH": str(src)}, timeout=300).stdout
-    assert out.strip() == "True True"
+    assert out.strip() == "True"
 
 
 def test_zero_row_made_first_in_pool_tasks(split_passes, monkeypatch):
@@ -134,7 +134,6 @@ def test_zero_row_made_first_in_pool_tasks(split_passes, monkeypatch):
 
     monkeypatch.setattr(otsolve.kkt, "_zeros", recorded)
     monkeypatch.setattr(otsolve.kkt, "_zero_row", None)  # restored after the test
-    monkeypatch.setattr(otsolve.kkt, "_zero_view", None)
     split_passes(6)
     rng = np.random.default_rng(26)
     X = rng.standard_normal((60, 900))  # 9,000 entries per task: blocks and a tail
@@ -143,7 +142,7 @@ def test_zero_row_made_first_in_pool_tasks(split_passes, monkeypatch):
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(20):
-            otsolve.kkt._zero_row = otsolve.kkt._zero_view = None
+            otsolve.kkt._zero_row = None
             out = np.empty_like(X)
             _par.over_rows(lambda a, b: otsolve.kkt.positive_part(X[a:b], out=out[a:b]), len(X))
             assert out.tobytes() == expected

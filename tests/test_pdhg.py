@@ -1,5 +1,6 @@
 import math
 import re
+import threading
 import tracemalloc
 import warnings
 from dataclasses import fields
@@ -616,20 +617,21 @@ class TestSharedSlack:
         # Each of the two tasks takes 85 rows of 200 entries, more than the
         # zero row holds, so positive_part runs as (2, 8192) blocks and a
         # tail inside the pool's tasks.
-        flat_shapes = []
-        real = otsolve.kkt._flat
+        assert 2 * otsolve.kkt._ZERO_ENTRIES < 85 * 200 < 3 * otsolve.kkt._ZERO_ENTRIES
+        threads_using_row = set()
+        real = otsolve.kkt._zeros
 
-        def recorded(a, shape):
-            flat_shapes.append(shape)
-            return real(a, shape)
+        def recorded():
+            threads_using_row.add(threading.get_ident())
+            return real()
 
-        monkeypatch.setattr(otsolve.kkt, "_flat", recorded)
+        monkeypatch.setattr(otsolve.kkt, "_zeros", recorded)
         split_passes(2)
         prob = random_problem(np.random.default_rng(26), 170, 200)
         cfg = SolverConfig(tol=1e-12, max_iters=300)
         shared = solve_bytes(prob, cfg)
         assert '"iterations": 300' in shared[2]
-        assert (2, otsolve.kkt._ZERO_ENTRIES) in flat_shapes
+        assert threads_using_row - {threading.get_ident()}  # a pool thread took blocks
         assert otsolve._par._pool is not None  # the passes did run on the pool
         use_unshared(monkeypatch)
         assert solve_bytes(prob, cfg) == shared
